@@ -3,41 +3,68 @@
 ``SPU._fast_forward`` retires a hazard-checked straight-line ALU run in
 one engine tick (see ``docs/PERFORMANCE.md``).  These unit tests drive
 mini-programs whose shapes hit every window boundary — branches,
-MEM-slot ops, scoreboard hazards, the PF/EX block edge — and assert the
-fast path (``REPRO_SIM_FAST=1``) is bit-identical to the per-cycle path
-(``REPRO_SIM_FAST=0``) while dispatching strictly fewer engine ticks
-where a window exists at all.
+MEM-slot ops, scoreboard hazards, the PF/EX block edge.  Each
+mini-program's cycles and stats are pinned in ``tests/golden``.  A
+tracer keeps the SPU on its per-cycle loop, so every mini-program also
+runs traced: same cycles and stats, strictly more engine ticks.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from repro.core.activity import GlobalObject, ObjRef
+from repro.cell.machine import Machine
+from repro.core.activity import GlobalObject, ObjRef, SpawnSpec, TLPActivity
 from repro.isa.builder import ThreadBuilder
 from repro.isa.program import BlockKind
-from repro.sim.stats import Bucket
-from repro.testing import run_program
+from repro.obs.trace import Tracer
+from repro.testing import small_config
 
 
-def _both_modes(build, monkeypatch, **kw):
-    """Run ``build()``'s program fast and slow; return both results."""
-    out = []
-    for fast in (True, False):
-        monkeypatch.setenv("REPRO_SIM_FAST", "1" if fast else "0")
-        out.append(run_program(build(), **kw))
-    return out
+def _run(build, stores, globals_, tracer=None):
+    program = build().build()
+    machine = Machine(small_config())
+    if tracer is not None:
+        machine.attach_tracer(tracer)
+    machine.load(TLPActivity(
+        name="t",
+        templates=[program],
+        globals_=globals_,
+        spawns=[SpawnSpec(template=program.name, stores=stores)],
+    ))
+    return machine, machine.run()
 
 
-def _assert_identical(fast, slow):
-    assert fast.cycles == slow.cycles
-    assert dataclasses.asdict(fast.result.stats) == dataclasses.asdict(
-        slow.result.stats
-    )
+def run_pinned(golden, key, build, stores=None, globals_=None):
+    """Run ``build()``'s program untraced and traced.
+
+    The untraced run's cycles and stats must match golden entry
+    ``spu/<key>``; the traced run must match the untraced one while
+    dispatching more engine ticks (fast-forward really skipped cycles).
+    Returns the untraced machine and result.
+    """
+    stores = stores if stores is not None else {0: ObjRef("out")}
+    globals_ = globals_ or [GlobalObject.zeros("out", 4)]
+    runs = []
+
+    def untraced() -> dict:
+        runs.append(_run(build, stores, globals_))
+        result = runs[-1][1]
+        return {
+            "cycles": result.cycles,
+            "stats": golden.digest(dataclasses.asdict(result.stats)),
+        }
+
+    golden.check(f"spu/{key}", untraced)
+    machine, result = runs[-1]
+    traced_machine, traced = _run(build, stores, globals_, tracer=Tracer())
+    assert traced.cycles == result.cycles
+    assert traced.stats == result.stats
     assert (
-        fast.machine.engine.ticks_dispatched
-        <= slow.machine.engine.ticks_dispatched
+        machine.engine.ticks_dispatched
+        < traced_machine.engine.ticks_dispatched
     )
+    return machine, result
 
 
 def writer():
@@ -46,17 +73,8 @@ def writer():
     return b
 
 
-def run_writer(build, monkeypatch, words: int = 4):
-    return _both_modes(
-        build,
-        monkeypatch,
-        stores={0: ObjRef("out")},
-        globals_=[GlobalObject.zeros("out", words)],
-    )
-
-
 class TestStraightLineRuns:
-    def test_long_alu_run_collapses_to_fewer_ticks(self, monkeypatch):
+    def test_long_alu_run_collapses_to_fewer_ticks(self, golden):
         def build():
             b = writer()
             with b.block(BlockKind.PL):
@@ -69,17 +87,10 @@ class TestStraightLineRuns:
                 b.stop()
             return b
 
-        fast, slow = run_writer(build, monkeypatch)
-        _assert_identical(fast, slow)
-        assert fast.word("out") == sum(range(40))
-        # The 40-op run is one window: the fast run must actually have
-        # skipped interior cycles, not merely matched totals.
-        assert (
-            fast.machine.engine.ticks_dispatched
-            < slow.machine.engine.ticks_dispatched
-        )
+        machine, _ = run_pinned(golden, "long_alu_run", build)
+        assert machine.read_global("out")[0] == sum(range(40))
 
-    def test_working_bucket_credited_in_bulk_matches(self, monkeypatch):
+    def test_working_bucket_credited_in_bulk_matches(self, golden):
         def build():
             b = writer()
             with b.block(BlockKind.PL):
@@ -92,15 +103,14 @@ class TestStraightLineRuns:
                 b.stop()
             return b
 
-        fast, slow = run_writer(build, monkeypatch)
-        _assert_identical(fast, slow)
-        f = fast.result.stats.spus[0].breakdown
-        s = slow.result.stats.spus[0].breakdown
-        assert f.working == s.working
+        # run_pinned compares the bulk-credited stats with the traced
+        # run's per-cycle ones.
+        machine, _ = run_pinned(golden, "working_bucket", build)
+        assert machine.read_global("out")[0] == 37
 
 
 class TestWindowBoundaries:
-    def test_scoreboard_hazards_inside_the_window(self, monkeypatch):
+    def test_scoreboard_hazards_inside_the_window(self, golden):
         # A dependent MUL/DIV chain stalls on result latency mid-run; the
         # window must charge the same stall buckets as per-cycle ticks.
         def build():
@@ -118,11 +128,10 @@ class TestWindowBoundaries:
                 b.stop()
             return b
 
-        fast, slow = run_writer(build, monkeypatch)
-        _assert_identical(fast, slow)
-        assert fast.word("out") == 40 // 30 + 1
+        machine, _ = run_pinned(golden, "scoreboard_hazards", build)
+        assert machine.read_global("out")[0] == 40 // 30 + 1
 
-    def test_branches_terminate_the_window(self, monkeypatch):
+    def test_branches_terminate_the_window(self, golden):
         def build():
             b = writer()
             with b.block(BlockKind.PL):
@@ -138,11 +147,10 @@ class TestWindowBoundaries:
                 b.stop()
             return b
 
-        fast, slow = run_writer(build, monkeypatch)
-        _assert_identical(fast, slow)
-        assert fast.word("out") == sum(range(1, 26))
+        machine, _ = run_pinned(golden, "branches", build)
+        assert machine.read_global("out")[0] == sum(range(1, 26))
 
-    def test_mem_slot_ops_interleaved(self, monkeypatch):
+    def test_mem_slot_ops_interleaved(self, golden):
         # Local-store traffic splits the EX block into several windows
         # and exercises the dual-issue edge (ALU op + MEM successor).
         def build():
@@ -150,7 +158,8 @@ class TestWindowBoundaries:
             with b.block(BlockKind.PL):
                 b.load("rout", "out")
             with b.block(BlockKind.EX):
-                b.li("base", 0x200)
+                b.li("base", 0x200)  # dual-issues with the PL load
+                b.li("y", 0)
                 b.li("x", 11)
                 b.addi("x", "x", 4)
                 b.lstore("base", 0, "x")
@@ -162,11 +171,10 @@ class TestWindowBoundaries:
                 b.stop()
             return b
 
-        fast, slow = run_writer(build, monkeypatch)
-        _assert_identical(fast, slow)
-        assert fast.word("out") == 32
+        machine, _ = run_pinned(golden, "mem_slot_ops", build)
+        assert machine.read_global("out")[0] == 32
 
-    def test_pf_block_boundary_never_fast_forwards(self, monkeypatch):
+    def test_pf_block_boundary_never_fast_forwards(self, golden):
         # ALU runs inside a PF block stay on the per-cycle path (they
         # charge the Prefetching bucket and end at the DMA-yield edge).
         def build():
@@ -193,35 +201,23 @@ class TestWindowBoundaries:
                 b.stop()
             return b
 
-        def run(fast):
-            monkeypatch.setenv("REPRO_SIM_FAST", "1" if fast else "0")
-            return run_program(
-                build(),
-                stores={0: ObjRef("out"), 1: ObjRef("src")},
-                globals_=[
-                    GlobalObject.zeros("out", 4),
-                    GlobalObject("src", (9, 0, 0, 0)),
-                ],
-            )
-
-        fast, slow = run(True), run(False)
-        _assert_identical(fast, slow)
-        assert fast.word("out") == 72
-        f = fast.result.stats.spus[0].breakdown
-        s = slow.result.stats.spus[0].breakdown
-        assert f.prefetch == s.prefetch
+        machine, result = run_pinned(
+            golden, "pf_block_boundary", build,
+            stores={0: ObjRef("out"), 1: ObjRef("src")},
+            globals_=[
+                GlobalObject.zeros("out", 4),
+                GlobalObject("src", (9, 0, 0, 0)),
+            ],
+        )
+        assert machine.read_global("out")[0] == 72
+        assert result.stats.spus[0].breakdown.prefetch > 0
 
 
 class TestObserversDisengage:
-    def test_tracer_forces_per_cycle_ticks(self, monkeypatch):
+    def test_tracer_forces_per_cycle_ticks(self, golden):
         # With a tracer attached the window must not engage: per-cycle
-        # observers need every cycle visited.  Identical results either
-        # way, but no tick reduction relative to the slow path.
-        from repro.cell.machine import Machine
-        from repro.core.activity import SpawnSpec, TLPActivity
-        from repro.obs.trace import Tracer
-        from repro.testing import small_config
-
+        # observers need every cycle visited.  The event stream is
+        # pinned, so a tracer that changed what it sees fails here.
         def build():
             b = writer()
             with b.block(BlockKind.PL):
@@ -234,26 +230,13 @@ class TestObserversDisengage:
                 b.stop()
             return b
 
-        def run(fast):
-            monkeypatch.setenv("REPRO_SIM_FAST", "1" if fast else "0")
-            builder = build()
-            program = builder.build()
-            activity = TLPActivity(
-                name="t",
-                templates=[program],
-                globals_=[GlobalObject.zeros("out", 4)],
-                spawns=[SpawnSpec(template="t", stores={0: ObjRef("out")})],
-            )
-            machine = Machine(small_config())
-            machine.attach_tracer(Tracer())
-            machine.load(activity)
-            result = machine.run()
-            return machine, result
+        stores = {0: ObjRef("out")}
+        globals_ = [GlobalObject.zeros("out", 4)]
+        run_pinned(golden, "tracer", build)
 
-        fm, fr = run(True)
-        sm, sr = run(False)
-        assert fr.cycles == sr.cycles
-        assert fm.engine.ticks_dispatched == sm.engine.ticks_dispatched
-        assert [e.to_dict() for e in fm.tracer.events] == [
-            e.to_dict() for e in sm.tracer.events
-        ]
+        def traced() -> dict:
+            machine, result = _run(build, stores, globals_, tracer=Tracer())
+            events = [e.to_dict() for e in machine.tracer.events]
+            return {"cycles": result.cycles, "events": golden.digest(events)}
+
+        golden.check("spu/tracer_events", traced)
