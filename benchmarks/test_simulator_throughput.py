@@ -9,14 +9,9 @@ staying high enough for the scaled workloads to run in seconds.
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from pathlib import Path
-
 from repro.bench.runner import run_workload
 from repro.sim.config import paper_config
-from repro.workloads import bitcount, matmul, zoom
+from repro.workloads import matmul
 
 
 def test_simulated_cycles_per_second(benchmark):
@@ -56,80 +51,3 @@ def test_event_skip_efficiency(benchmark):
     # (components x cycles). 4 SPEs = ~15 components.
     assert ticks < 3 * cycles
 
-
-# -- fast-path throughput gate (docs/PERFORMANCE.md) --------------------------
-
-#: 8-SPE workloads timed fast vs slow.  Sized so each slow run takes a
-#: few hundred milliseconds: long enough to time reliably, short enough
-#: for CI.
-_THROUGHPUT_WORKLOADS = {
-    "bitcnt": lambda: bitcount.build(iterations=256, unroll=8),
-    "mmul": lambda: matmul.build(n=16, threads=16),
-    "zoom": lambda: zoom.build(n=32, z=4),
-}
-
-#: Committed reference speedups (regenerate with
-#: ``REPRO_BENCH_WRITE_BASELINE=1 pytest benchmarks/test_simulator_throughput.py``).
-_BASELINE_PATH = Path(__file__).with_name("BENCH_throughput.baseline.json")
-
-
-def _cycles_per_second(build, fast: bool, samples: int = 3):
-    """min-of-N simulated-cycles/wall-second with the fast path on/off."""
-    os.environ["REPRO_SIM_FAST"] = "1" if fast else "0"
-    try:
-        workload = build()
-        cfg = paper_config(8)
-        best = None
-        for _ in range(samples):
-            t0 = time.perf_counter()
-            result = run_workload(workload, cfg, prefetch=True, verify=False)
-            elapsed = time.perf_counter() - t0
-            best = elapsed if best is None else min(best, elapsed)
-        return result.cycles, result.cycles / best
-    finally:
-        os.environ.pop("REPRO_SIM_FAST", None)
-
-
-def test_fast_path_throughput_gate():
-    """Measure fast vs slow cycles/sec, write ``BENCH_throughput.json``.
-
-    Gates on two things: the mmul 8-SPE speedup the fast paths were built
-    for (>= 2x, the ISSUE 6 acceptance bar), and a >20% regression of any
-    benchmark's speedup against the committed baseline (wall-clock
-    cycles/sec is machine-dependent; the fast/slow *ratio* on the same
-    host is not, so the baseline stores ratios).
-    """
-    report = {}
-    for name, build in _THROUGHPUT_WORKLOADS.items():
-        cycles, fast_cps = _cycles_per_second(build, fast=True)
-        slow_cycles, slow_cps = _cycles_per_second(build, fast=False)
-        assert cycles == slow_cycles  # bit-identical by construction
-        report[name] = {
-            "simulated_cycles": cycles,
-            "fast_cycles_per_second": int(fast_cps),
-            "slow_cycles_per_second": int(slow_cps),
-            "speedup": round(fast_cps / slow_cps, 3),
-        }
-
-    out = Path(os.environ.get("REPRO_BENCH_OUT", "BENCH_throughput.json"))
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-    if os.environ.get("REPRO_BENCH_WRITE_BASELINE"):
-        _BASELINE_PATH.write_text(
-            json.dumps(
-                {name: {"speedup": row["speedup"]} for name, row in report.items()},
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
-
-    assert report["mmul"]["speedup"] >= 2.0, report["mmul"]
-
-    baseline = json.loads(_BASELINE_PATH.read_text())
-    for name, row in report.items():
-        floor = 0.8 * baseline[name]["speedup"]
-        assert row["speedup"] >= floor, (
-            f"{name}: speedup {row['speedup']}x regressed >20% below the "
-            f"committed baseline {baseline[name]['speedup']}x"
-        )

@@ -5,7 +5,7 @@ Three tools turn "my activity is slow/wrong/stuck" into a diagnosis:
 
 1. the **functional interpreter** (`repro.isa.interpreter`) separates
    *wrong program* from *wrong timing model* in milliseconds;
-2. the **tracer** (`repro.sim.trace`) shows each thread's lifecycle —
+2. the **tracer** (`repro.obs.trace`) shows each thread's lifecycle —
    when it was created, became ready, yielded for DMA and resumed;
 3. **scheduler snapshots** (`repro.core.scheduler`) expose frame
    occupancy and ready queues, the first thing to look at when a fork
@@ -16,7 +16,7 @@ Run:  python examples/debugging_tour.py
 
 from repro import Machine, prefetch_transform, run_functional
 from repro.core.scheduler import SchedulerSnapshot
-from repro.sim.trace import Tracer
+from repro.obs.trace import Tracer
 from repro.testing import small_config
 from repro.workloads import matmul
 

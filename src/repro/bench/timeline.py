@@ -1,6 +1,6 @@
 """ASCII execution timelines from trace events.
 
-Turns a :class:`~repro.sim.trace.Tracer` recording into a per-SPU Gantt
+Turns a :class:`~repro.obs.trace.Tracer` recording into a per-SPU Gantt
 chart: one row per SPU, one character per time bucket, showing what each
 pipeline was doing — the visual counterpart of the Figure 5 breakdown
 and the quickest way to *see* non-blocking execution (DMA waits of one
@@ -17,7 +17,7 @@ space = before first / after last activity of that SPU.
 from __future__ import annotations
 
 from repro.obs.intervals import Interval, IntervalSink
-from repro.sim.trace import Tracer
+from repro.obs.trace import Tracer
 
 __all__ = ["Timeline", "render_timeline"]
 

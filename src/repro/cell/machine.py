@@ -62,7 +62,7 @@ class Machine:
         self.memory_stats = MemoryStats()
         self.fault_stats = FaultStats()
         #: Fault injector (None when the plan is inert, so the fault-free
-        #: fast path stays exactly the pre-fault-injection code).
+        #: hot path stays exactly the pre-fault-injection code).
         self.injector = (
             FaultInjector(config.faults, self.fault_stats)
             if config.faults.active
@@ -166,7 +166,7 @@ class Machine:
             self.engine.register(self.watchdog)
 
     def attach_tracer(self, tracer) -> None:
-        """Record trace events (see :mod:`repro.sim.trace`) on all units."""
+        """Record trace events (see :mod:`repro.obs.trace`) on all units."""
         self.tracer = tracer
         for component in self.engine.components:
             component._tracer = tracer

@@ -342,7 +342,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 def cmd_timeline(args: argparse.Namespace) -> int:
     from repro.bench.timeline import render_timeline
     from repro.cell.machine import Machine
-    from repro.sim.trace import Tracer
+    from repro.obs.trace import Tracer
 
     workload = _workload(args)
     activity = workload.activity

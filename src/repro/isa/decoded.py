@@ -1,16 +1,17 @@
 """Decoded-instruction cache: per-program flat execution tables.
 
-The hot loops of the SPU pipeline model and the functional interpreter
-used to re-derive everything about an :class:`~repro.isa.instructions.
-Instruction` on every visit: ``instr.spec`` (a dict lookup keyed by enum
-hash), ``isinstance`` checks on operands, enum identity chains in
-``alu_result``.  Per paper-benchmark run those lookups happen hundreds of
-thousands of times on immutable data.
+The SPU issue loop would otherwise re-derive everything about an
+:class:`~repro.isa.instructions.Instruction` on every visit:
+``instr.spec`` (a dict lookup keyed by enum hash), ``isinstance`` checks
+on operands, enum identity chains in ``alu_result``.  Per paper-benchmark
+run those lookups happen hundreds of thousands of times on immutable
+data.
 
 :func:`decode_program` resolves all of it **once per program** into flat
 tuples — one row per flat instruction — holding:
 
-* a small-int dispatch ``kind`` (ALU / branch / each memory-ish op),
+* a small-int dispatch ``kind``: ALU, branch, or structural (every
+  other op, which the SPU executes from the :class:`Instruction`),
 * pre-resolved operands (register index *or* immediate value, with the
   ALU ``imm``-as-``rb`` fallback already folded in),
 * the value function (one tiny closure per opcode instead of the
@@ -26,7 +27,8 @@ tuples — one row per flat instruction — holding:
 Rows are plain tuples indexed by the ``D_*`` constants (attribute access
 is what we are deleting from the hot path).  The decoded table attaches
 lazily to :class:`~repro.isa.program.ThreadProgram` via its ``decoded``
-property and is dropped entirely when ``REPRO_SIM_FAST=0``.
+property.  The functional interpreter deliberately does not use it: as
+the oracle the machine is checked against, it decodes nothing.
 """
 
 from __future__ import annotations
@@ -48,13 +50,10 @@ __all__ = [
     "DecodedProgram",
     "decode_program",
     # row field indices
-    "D_KIND", "D_AREG", "D_AVAL", "D_BREG", "D_BVAL", "D_RD", "D_IMM",
-    "D_TARGET", "D_TAG", "D_STRIDE", "D_LAT", "D_HAZ", "D_FN", "D_NAME",
-    "D_MEM", "D_FF",
+    "D_KIND", "D_AREG", "D_AVAL", "D_BREG", "D_BVAL", "D_RD", "D_TARGET",
+    "D_LAT", "D_HAZ", "D_FN", "D_NAME", "D_MEM", "D_FF",
     # dispatch kinds
-    "K_ALU", "K_BRANCH", "K_LOAD", "K_STOREF", "K_STORE", "K_LLOAD",
-    "K_LSTORE", "K_READ", "K_WRITE", "K_DMAGET", "K_DMAGETS", "K_DMAPUT",
-    "K_DMAWAIT", "K_LSALLOC", "K_FALLOC", "K_FFREE", "K_STOP",
+    "K_ALU", "K_BRANCH", "K_STRUCT",
 ]
 
 
@@ -67,54 +66,19 @@ D_AVAL = 2    #: ra immediate value; 0 when ra is absent
 D_BREG = 3    #: rb register index, or None (then D_BVAL is the value)
 D_BVAL = 4    #: rb immediate value; ALU rows fold the imm fallback here
 D_RD = 5      #: destination register index, or None
-D_IMM = 6     #: raw immediate (0 when absent)
-D_TARGET = 7  #: resolved branch target flat index, or None
-D_TAG = 8     #: DMA tag id, or None
-D_STRIDE = 9  #: DMAGETS stride in bytes, or None
-D_LAT = 10    #: result latency in cycles (>= 1; ALU rows only matter)
-D_HAZ = 11    #: tuple of scoreboard-checked register indices, in ra,rb,rd order
-D_FN = 12     #: value function (ALU result / branch predicate), or None (NOP)
-D_NAME = 13   #: op mnemonic (InstructionMix.record key)
-D_MEM = 14    #: True when the op occupies the MEM issue slot
-D_FF = 15     #: fast-forward run length starting at this pc (0 = ineligible)
+D_TARGET = 6  #: resolved branch target flat index, or None
+D_LAT = 7     #: result latency in cycles (>= 1; ALU rows only matter)
+D_HAZ = 8     #: tuple of scoreboard-checked register indices, in ra,rb,rd order
+D_FN = 9      #: value function (ALU result / branch predicate), or None (NOP)
+D_NAME = 10   #: op mnemonic (InstructionMix.record key)
+D_MEM = 11    #: True when the op occupies the MEM issue slot
+D_FF = 12     #: fast-forward run length starting at this pc (0 = ineligible)
 
 # -- dispatch kinds -----------------------------------------------------------
 
 K_ALU = 0
 K_BRANCH = 1
-K_LOAD = 2
-K_STOREF = 3
-K_STORE = 4
-K_LLOAD = 5
-K_LSTORE = 6
-K_READ = 7
-K_WRITE = 8
-K_DMAGET = 9
-K_DMAGETS = 10
-K_DMAPUT = 11
-K_DMAWAIT = 12
-K_LSALLOC = 13
-K_FALLOC = 14
-K_FFREE = 15
-K_STOP = 16
-
-_KIND_OF: dict[Op, int] = {
-    Op.LOAD: K_LOAD,
-    Op.STOREF: K_STOREF,
-    Op.STORE: K_STORE,
-    Op.LLOAD: K_LLOAD,
-    Op.LSTORE: K_LSTORE,
-    Op.READ: K_READ,
-    Op.WRITE: K_WRITE,
-    Op.DMAGET: K_DMAGET,
-    Op.DMAGETS: K_DMAGETS,
-    Op.DMAPUT: K_DMAPUT,
-    Op.DMAWAIT: K_DMAWAIT,
-    Op.LSALLOC: K_LSALLOC,
-    Op.FALLOC: K_FALLOC,
-    Op.FFREE: K_FFREE,
-    Op.STOP: K_STOP,
-}
+K_STRUCT = 2  #: LS, memory, scheduler and DMA ops (SPU._dispatch_op)
 
 
 # -- value functions ----------------------------------------------------------
@@ -205,8 +169,6 @@ def decode_program(program: "ThreadProgram") -> DecodedProgram:
     for instr in flat:
         op = instr.op
         spec = spec_of(op)
-        mem_slot = spec.slot is Slot.MEM
-        imm = instr.imm if instr.imm is not None else 0
         a_reg, a_val = _operand(instr.ra)
         if spec.is_branch:
             kind = K_BRANCH
@@ -217,11 +179,11 @@ def decode_program(program: "ThreadProgram") -> DecodedProgram:
             if instr.rb is not None:
                 b_reg, b_val = _operand(instr.rb)
             else:
-                # The SPU/interpreter fall back to imm (or 0) for rb.
-                b_reg, b_val = None, imm
+                # ALU ops fall back to imm (or 0) for rb.
+                b_reg, b_val = None, instr.imm if instr.imm is not None else 0
             fn = _ALU_FN.get(op)  # None for NOP
         else:
-            kind = _KIND_OF[op]
+            kind = K_STRUCT
             b_reg, b_val = _operand(instr.rb)
             fn = None
         haz: list[int] = []
@@ -236,15 +198,12 @@ def decode_program(program: "ThreadProgram") -> DecodedProgram:
             a_reg, a_val,
             b_reg, b_val,
             instr.rd,
-            imm,
             instr.target,
-            instr.tag,
-            instr.stride,
             spec.result_latency or 1,
             tuple(haz),
             fn,
             op.value,
-            mem_slot,
+            spec.slot is Slot.MEM,
             0,  # D_FF, filled below
         ])
 

@@ -24,40 +24,10 @@ from dataclasses import dataclass, field
 
 from repro.core.activity import TLPActivity
 from repro.core.frame import pack_handle, unpack_handle
-from repro.isa.decoded import (
-    D_AREG,
-    D_AVAL,
-    D_BREG,
-    D_BVAL,
-    D_FN,
-    D_IMM,
-    D_KIND,
-    D_RD,
-    D_STRIDE,
-    D_TARGET,
-    K_ALU,
-    K_BRANCH,
-    K_DMAGET,
-    K_DMAGETS,
-    K_DMAPUT,
-    K_DMAWAIT,
-    K_FALLOC,
-    K_FFREE,
-    K_LLOAD,
-    K_LOAD,
-    K_LSALLOC,
-    K_LSTORE,
-    K_READ,
-    K_STOP,
-    K_STOREF,
-    K_STORE,
-    K_WRITE,
-)
 from repro.isa.instructions import Imm, Instruction, Reg
 from repro.isa.opcodes import Op
 from repro.isa.program import BlockKind, ThreadProgram
 from repro.isa.semantics import alu_result, branch_taken
-from repro.sim.fastpath import fast_enabled
 
 __all__ = ["FunctionalMachine", "InterpreterError", "run_functional"]
 
@@ -95,9 +65,6 @@ class FunctionalMachine:
         self._next_tid = 0
         self.threads_run = 0
         self.instructions = 0
-        #: Decoded-dispatch hot loop (REPRO_SIM_FAST=0 restores the
-        #: original attribute/enum-lookup loop; results are identical).
-        self._fast = fast_enabled()
         for obj in activity.globals:
             assert obj.addr is not None
             for i, v in enumerate(obj.data):
@@ -186,119 +153,6 @@ class FunctionalMachine:
 
     def _run_thread(self, thread: _Thread) -> None:
         self.threads_run += 1
-        if self._fast:
-            self._run_thread_decoded(thread)
-        else:
-            self._run_thread_slow(thread)
-
-    def _run_thread_decoded(self, thread: _Thread) -> None:
-        """Decoded-dispatch twin of :meth:`_run_thread_slow`.
-
-        Architecturally identical (same memory/frame/LS effects, same
-        ``instructions`` count, same errors); only the per-instruction
-        lookup work differs.  ``tests/isa/test_interpreter.py`` and the
-        differential suites run against whichever loop is enabled.
-        """
-        program = thread.program
-        rows = program.decoded.rows
-        n = len(rows)
-        regs = [0] * 128
-        frame = thread.frame
-        ls = self.ls
-        pc = 0
-
-        def val(reg: int | None, imm: int) -> int:
-            return regs[reg] if reg is not None else imm
-
-        while True:
-            if pc >= n:
-                raise InterpreterError(
-                    f"{program.name}: fell off the end (missing STOP?)"
-                )
-            row = rows[pc]
-            self.instructions += 1
-            kind = row[D_KIND]
-            if kind == K_ALU:
-                fn = row[D_FN]
-                if fn is not None:  # None = NOP
-                    ar = row[D_AREG]
-                    a = regs[ar] if ar is not None else row[D_AVAL]
-                    br = row[D_BREG]
-                    b = regs[br] if br is not None else row[D_BVAL]
-                    regs[row[D_RD]] = fn(a, b)
-                pc += 1
-                continue
-            if kind == K_BRANCH:
-                ar = row[D_AREG]
-                a = regs[ar] if ar is not None else row[D_AVAL]
-                br = row[D_BREG]
-                b = regs[br] if br is not None else row[D_BVAL]
-                pc = row[D_TARGET] if row[D_FN](a, b) else pc + 1
-                continue
-            if kind == K_STOP:
-                del self.threads[thread.tid]
-                return
-            pc += 1
-            if kind == K_LOAD:
-                regs[row[D_RD]] = frame.get(row[D_IMM], 0)
-            elif kind == K_STOREF:
-                frame[row[D_IMM]] = val(row[D_AREG], row[D_AVAL])
-            elif kind == K_STORE:
-                self._store(
-                    val(row[D_AREG], row[D_AVAL]),
-                    row[D_IMM],
-                    val(row[D_BREG], row[D_BVAL]),
-                )
-            elif kind == K_LLOAD:
-                regs[row[D_RD]] = ls.get(
-                    val(row[D_AREG], row[D_AVAL]) + row[D_IMM], 0
-                )
-            elif kind == K_LSTORE:
-                ls[val(row[D_AREG], row[D_AVAL]) + row[D_IMM]] = val(
-                    row[D_BREG], row[D_BVAL]
-                )
-            elif kind == K_READ:
-                regs[row[D_RD]] = self._mem_read(
-                    val(row[D_AREG], row[D_AVAL]) + row[D_IMM]
-                )
-            elif kind == K_WRITE:
-                self._mem_write(
-                    val(row[D_AREG], row[D_AVAL]) + row[D_IMM],
-                    val(row[D_BREG], row[D_BVAL]),
-                )
-            elif kind == K_DMAGET:
-                dst = val(row[D_AREG], row[D_AVAL])
-                src = val(row[D_BREG], row[D_BVAL])
-                for i in range(row[D_IMM] // 4):
-                    ls[dst + 4 * i] = self._mem_read(src + 4 * i)
-            elif kind == K_DMAGETS:
-                dst = val(row[D_AREG], row[D_AVAL])
-                src = val(row[D_BREG], row[D_BVAL])
-                stride = row[D_STRIDE]
-                for i in range(row[D_IMM]):
-                    ls[dst + 4 * i] = self._mem_read(src + i * stride)
-            elif kind == K_DMAPUT:
-                src = val(row[D_AREG], row[D_AVAL])
-                dst = val(row[D_BREG], row[D_BVAL])
-                for i in range(row[D_IMM] // 4):
-                    self._mem_write(dst + 4 * i, ls.get(src + 4 * i, 0))
-            elif kind == K_DMAWAIT:
-                pass  # DMA completed synchronously
-            elif kind == K_LSALLOC:
-                size = ((row[D_IMM] + 15) // 16) * 16
-                self._ls_heap += size
-                regs[row[D_RD]] = self._ls_heap - size
-            elif kind == K_FALLOC:
-                regs[row[D_RD]] = self._falloc(
-                    row[D_IMM], val(row[D_AREG], row[D_AVAL])
-                )
-            elif kind == K_FFREE:
-                # Existence check only.
-                self._thread_by_handle(val(row[D_AREG], row[D_AVAL]))
-            else:  # pragma: no cover - decode_program covers every kind
-                raise InterpreterError(f"unhandled decoded kind {kind}")
-
-    def _run_thread_slow(self, thread: _Thread) -> None:
         regs = [0] * 128
         program = thread.program
         flat = program.flat

@@ -126,8 +126,7 @@ class ThreadProgram:
         """The :class:`~repro.isa.decoded.DecodedProgram` for this program.
 
         Built lazily on first use and cached for the program's lifetime
-        (programs are immutable).  Only the fast execution paths consult
-        it; with ``REPRO_SIM_FAST=0`` it is never built.
+        (programs are immutable).  The SPU issue loop reads it.
         """
         cached = getattr(self, "_decoded", None)
         if cached is None:

@@ -2,8 +2,8 @@
 
 ``repro.obs`` is the machine-readable window into a simulation:
 
-* :mod:`repro.obs.trace` — streaming tracer v2 (sinks: in-memory ring,
-  JSONL file, tee), subsuming the old ``repro.sim.trace``.
+* :mod:`repro.obs.trace` — streaming tracer (sinks: in-memory ring,
+  JSONL file, tee).
 * :mod:`repro.obs.hub` — :class:`MetricsHub`, a registry of counters /
   gauges / bucketed interval series sampled from every component, with
   bounded memory and strictly zero cost when not attached.

@@ -18,9 +18,6 @@ per would-be event).  Attach one with
 >>> machine.attach_tracer(tracer)                         # doctest: +SKIP
 >>> machine.run()                                         # doctest: +SKIP
 >>> print(tracer.format())                                # doctest: +SKIP
-
-``repro.sim.trace`` re-exports :class:`TraceEvent` and :class:`Tracer`
-for backwards compatibility.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from repro.sim.engine import (
 from repro.sim.sanitize import InvariantViolation, Sanitizer
 from repro.sim.snapshot import CheckpointError, load_checkpoint, save_checkpoint
 from repro.sim.watchdog import ProgressWatchdog, SimulationLivelock
-from repro.sim.trace import TraceEvent, Tracer
 from repro.sim.stats import (
     Bucket,
     BusStats,
@@ -52,8 +51,6 @@ __all__ = [
     "ProgressWatchdog",
     "Sanitizer",
     "InvariantViolation",
-    "Tracer",
-    "TraceEvent",
     "MachineConfig",
     "MainMemoryConfig",
     "LocalStoreConfig",

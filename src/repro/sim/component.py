@@ -48,7 +48,7 @@ class Component:
         self._order: int = -1
         #: Next cycle at which a tick is already scheduled (lazy-deleted).
         self._scheduled_at: int | None = None
-        #: Optional tracer (see :mod:`repro.sim.trace`); None = disabled.
+        #: Optional tracer (see :mod:`repro.obs.trace`); None = disabled.
         self._tracer = None
         #: Optional metrics hub (see :mod:`repro.obs.hub`); None = disabled.
         self._hub = None

@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.bench.timeline import Timeline, render_timeline
 from repro.cell.machine import Machine
 from repro.compiler.passes import prefetch_transform
-from repro.sim.trace import Tracer
+from repro.obs.trace import Tracer
 from repro.testing import small_config
 from repro.workloads import matmul
 

@@ -45,18 +45,11 @@ def run_pinned(golden, key, build, stores=None, globals_=None):
     """
     stores = stores if stores is not None else {0: ObjRef("out")}
     globals_ = globals_ or [GlobalObject.zeros("out", 4)]
-    runs = []
-
-    def untraced() -> dict:
-        runs.append(_run(build, stores, globals_))
-        result = runs[-1][1]
-        return {
-            "cycles": result.cycles,
-            "stats": golden.digest(dataclasses.asdict(result.stats)),
-        }
-
-    golden.check(f"spu/{key}", untraced)
-    machine, result = runs[-1]
+    machine, result = _run(build, stores, globals_)
+    golden.check(f"spu/{key}", {
+        "cycles": result.cycles,
+        "stats": golden.digest(dataclasses.asdict(result.stats)),
+    })
     traced_machine, traced = _run(build, stores, globals_, tracer=Tracer())
     assert traced.cycles == result.cycles
     assert traced.stats == result.stats
@@ -230,13 +223,12 @@ class TestObserversDisengage:
                 b.stop()
             return b
 
-        stores = {0: ObjRef("out")}
-        globals_ = [GlobalObject.zeros("out", 4)]
         run_pinned(golden, "tracer", build)
-
-        def traced() -> dict:
-            machine, result = _run(build, stores, globals_, tracer=Tracer())
-            events = [e.to_dict() for e in machine.tracer.events]
-            return {"cycles": result.cycles, "events": golden.digest(events)}
-
-        golden.check("spu/tracer_events", traced)
+        machine, result = _run(
+            build, {0: ObjRef("out")}, [GlobalObject.zeros("out", 4)],
+            tracer=Tracer(),
+        )
+        events = [e.to_dict() for e in machine.tracer.events]
+        golden.check("spu/tracer_events", {
+            "cycles": result.cycles, "events": golden.digest(events),
+        })

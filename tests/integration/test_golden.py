@@ -63,36 +63,32 @@ class TestMachine:
     @pytest.mark.parametrize("name", BENCHMARKS)
     @pytest.mark.parametrize("config", CONFIGS)
     def test_matches_golden(self, config, name, golden):
-        golden.check(
-            f"{name}/{config}", lambda: _run(golden, name, CONFIGS[config])
-        )
+        golden.check(f"{name}/{config}", _run(golden, name, CONFIGS[config]))
 
 
 class TestSanitized:
     @pytest.mark.parametrize("name", BENCHMARKS)
     def test_reproduces_plain(self, name, golden):
         config = MachineConfig().replace(sanitize=True)
-        golden.check(f"{name}/plain", lambda: _run(golden, name, config))
+        golden.check(f"{name}/plain", _run(golden, name, config))
 
 
 class TestRestored:
     @pytest.mark.parametrize("name", BENCHMARKS)
     def test_reproduces_plain(self, name, golden, tmp_path):
-        def restored() -> dict:
-            workload = builders("test")[name]()
-            activity = prefetch_transform(workload.activity)
-            probe = Machine(MachineConfig())
-            probe.load(activity)
-            mid = probe.run().cycles // 2
-            machine = Machine(MachineConfig())
-            machine.load(activity)
-            machine.run(checkpoint_at=[mid], checkpoint_dir=str(tmp_path))
-            (path,) = tmp_path.glob("*.ckpt")
-            resumed = Machine.load_checkpoint(str(path))
-            path.unlink()
-            return _entry(golden, workload, resumed, resumed.run())
-
-        golden.check(f"{name}/plain", restored)
+        workload = builders("test")[name]()
+        activity = prefetch_transform(workload.activity)
+        probe = Machine(MachineConfig())
+        probe.load(activity)
+        mid = probe.run().cycles // 2
+        machine = Machine(MachineConfig())
+        machine.load(activity)
+        machine.run(checkpoint_at=[mid], checkpoint_dir=str(tmp_path))
+        (path,) = tmp_path.glob("*.ckpt")
+        restored = Machine.load_checkpoint(str(path))
+        golden.check(
+            f"{name}/plain", _entry(golden, workload, restored, restored.run())
+        )
 
 
 class TestObserved:
@@ -101,28 +97,22 @@ class TestObserved:
 
     @pytest.mark.parametrize("name", BENCHMARKS)
     def test_profile_matches_golden(self, name, golden):
-        def profiled() -> dict:
-            workload = builders("test")[name]()
-            result, profile = profile_workload(workload, MachineConfig())
-            return {
-                "cycles": result.cycles,
-                "stats": golden.digest(dataclasses.asdict(result.stats)),
-                "profile": golden.digest(profile.to_dict()),
-            }
-
-        golden.check(f"{name}/profile", profiled)
+        workload = builders("test")[name]()
+        result, profile = profile_workload(workload, MachineConfig())
+        golden.check(f"{name}/profile", {
+            "cycles": result.cycles,
+            "stats": golden.digest(dataclasses.asdict(result.stats)),
+            "profile": golden.digest(profile.to_dict()),
+        })
 
 
 class TestInterpreter:
     @pytest.mark.parametrize("name", BENCHMARKS)
     def test_functional_machine_matches_golden(self, name, golden):
-        def interpreted() -> dict:
-            workload = builders("test")[name]()
-            machine = run_functional(prefetch_transform(workload.activity))
-            return {
-                "memory": golden.digest(machine.memory),
-                "instructions": machine.instructions,
-                "threads_run": machine.threads_run,
-            }
-
-        golden.check(f"{name}/interpreter", interpreted)
+        workload = builders("test")[name]()
+        machine = run_functional(prefetch_transform(workload.activity))
+        golden.check(f"{name}/interpreter", {
+            "memory": golden.digest(machine.memory),
+            "instructions": machine.instructions,
+            "threads_run": machine.threads_run,
+        })

@@ -1,10 +1,10 @@
 """Decoded-instruction tables: value functions pinned, rows faithful.
 
-The fast execution paths (``SPU._issue_cycle_fast`` and the decoded
-interpreter loop) trust :mod:`repro.isa.decoded` completely, so this
-suite pins the decoded closures to the canonical semantics in
-:mod:`repro.isa.semantics` over a value grid, and checks the row fields
-and fast-forward run lengths against first principles.
+The SPU issue loop (``SPU._issue_cycle``) trusts
+:mod:`repro.isa.decoded` completely, so this suite pins the decoded
+closures to the canonical semantics in :mod:`repro.isa.semantics` over a
+value grid, and checks the row fields and fast-forward run lengths
+against first principles.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.isa.decoded import (
     D_TARGET,
     K_ALU,
     K_BRANCH,
-    K_STOP,
+    K_STRUCT,
     decode_program,
 )
 from repro.isa.opcodes import Op, Slot, spec_of
@@ -138,7 +138,7 @@ class TestRowFields:
 
     def test_stop_is_a_mem_slot_row(self):
         rows = decode_program(ex_program(lambda b: b.li("x", 1))).rows
-        assert rows[-1][D_KIND] == K_STOP
+        assert rows[-1][D_KIND] == K_STRUCT
         assert rows[-1][D_MEM]
 
 

@@ -44,7 +44,7 @@ class TestDisabledHubIsAbsent:
         """min-of-5 wall clock with a disabled hub stays within 25% of a
         plain run (the issue asks ≤2%; the generous bound absorbs CI
         noise while still catching an accidentally-enabled slow path).
-        Five samples rather than three: the decoded fast path made the
+        Five samples rather than three: the decoded issue loop made the
         run short enough that scheduler noise can dominate a min-of-3."""
 
         def best_of(n, fn):

@@ -1,4 +1,4 @@
-"""Tracer v2: kind validation, sinks, and the legacy import surface."""
+"""Tracer: kind validation and sinks."""
 
 from __future__ import annotations
 
@@ -37,12 +37,6 @@ class TestKindValidation:
     def test_iterables_accepted(self):
         for kinds in ({"a"}, ["a", "b"], ("a",), frozenset({"a"})):
             assert "a" in Tracer(kinds=kinds).kinds
-
-    def test_legacy_import_path_validates_too(self):
-        from repro.sim.trace import Tracer as LegacyTracer
-
-        with pytest.raises(TypeError):
-            LegacyTracer(kinds="dispatch")
 
 
 class TestTracerFiltering:
@@ -127,12 +121,3 @@ class TestTeeSink:
         assert t.events == []
         assert len(t) == 0
 
-
-class TestLegacySurface:
-    def test_sim_trace_reexports(self):
-        import repro.sim.trace as legacy
-        import repro.obs.trace as v2
-
-        for name in ("TraceEvent", "Tracer", "TraceSink", "MemorySink",
-                     "JsonlSink", "TeeSink"):
-            assert getattr(legacy, name) is getattr(v2, name)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.cell.machine import Machine
 from repro.compiler.passes import prefetch_transform
-from repro.sim.trace import TraceEvent, Tracer
+from repro.obs.trace import TraceEvent, Tracer
 from repro.testing import small_config
 from repro.workloads import matmul
 
