@@ -325,6 +325,13 @@ class MFC(Component):
     def deliver(self, msg: DmaReadResponse) -> None:
         """Handle a chunk arriving from main memory (routed via the SPE)."""
         cmd = self._inflight.get(msg.command_id)
+        if cmd is None and self._queue and (
+            self._queue[0].command_id == msg.command_id
+        ):
+            # Only the queue head issues chunks, and it moves to
+            # _inflight with its last one; at low memory latency an
+            # earlier chunk can answer before then.
+            cmd = self._queue[0]
         if cmd is None:
             raise RuntimeError(
                 f"{self.name}: response for unknown DMA command {msg.command_id}"

@@ -61,6 +61,15 @@ class TestDmaTransfers:
         assert res.machine.spes[0].mfc_stats.commands == 1
         assert res.machine.spes[0].mfc_stats.bytes_transferred == 256
 
+    def test_early_chunk_responses_at_low_latency(self):
+        # 32 chunks at 1-cycle latency: chunk 0 answers while later
+        # chunks of the same command are still issuing.
+        res, data = run_copy(
+            words=1024, config=small_config().with_latency(1)
+        )
+        assert res.read_global("out") == data
+        assert res.machine.spes[0].mfc_stats.commands == 1
+
     def test_dmawait_in_ex_blocks_until_done(self):
         res, data = run_copy(words=4, use_dmawait_in_ex=True)
         assert res.read_global("out") == data
