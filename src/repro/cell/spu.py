@@ -397,6 +397,8 @@ class SPU(Component):
         mem_used = False
         alu_used = False
         penalty = 0
+        # Capture the bucket at cycle start: instructions issued this cycle
+        # belong to the block the PC sat in when the cycle began.
         cycle_bucket = self._bucket(Bucket.WORKING)
         regs = self.regs
         sb = self._scoreboard
@@ -479,6 +481,8 @@ class SPU(Component):
             instr = flat[self.pc]
             outcome = self._dispatch_op(instr, now, issued)
             if outcome == "blocked":
+                # The op entered a timed/external wait (only legal as the
+                # first issue of the cycle).
                 assert issued == 0
                 return self._timed_until if self._state is _State.TIMED else None
             if outcome == "retry":
@@ -540,9 +544,8 @@ class SPU(Component):
         Replays the per-cycle loop exactly: one ALU issue per cycle (the
         successor rule in :func:`~repro.isa.decoded.decode_program`
         guarantees the per-cycle loop could never dual-issue inside the
-        run)
-        and scoreboard stalls that advance ``now`` to the writer's ready
-        cycle, with the same stats credited in bulk.  The event engine
+        run) and scoreboard stalls that advance ``now`` to the writer's
+        ready cycle, with the same stats credited in bulk.  The event engine
         never visits the interior cycles.  Returns the next tick cycle.
         """
         stats = self.stats

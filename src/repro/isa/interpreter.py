@@ -26,7 +26,7 @@ from repro.core.activity import TLPActivity
 from repro.core.frame import pack_handle, unpack_handle
 from repro.isa.instructions import Imm, Instruction, Reg
 from repro.isa.opcodes import Op
-from repro.isa.program import BlockKind, ThreadProgram
+from repro.isa.program import ThreadProgram
 from repro.isa.semantics import alu_result, branch_taken
 
 __all__ = ["FunctionalMachine", "InterpreterError", "run_functional"]

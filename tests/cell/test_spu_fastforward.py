@@ -35,8 +35,8 @@ def _run(build, stores, globals_, tracer=None):
     return machine, machine.run()
 
 
-def run_pinned(golden, key, build, stores=None, globals_=None):
-    """Run ``build()``'s program untraced and traced.
+def run_pinned(golden, key, build, stores=None, globals_=None, tracer=None):
+    """Run ``build()``'s program untraced and under ``tracer``.
 
     The untraced run's cycles and stats must match golden entry
     ``spu/<key>``; the traced run must match the untraced one while
@@ -50,7 +50,8 @@ def run_pinned(golden, key, build, stores=None, globals_=None):
         "cycles": result.cycles,
         "stats": golden.digest(dataclasses.asdict(result.stats)),
     })
-    traced_machine, traced = _run(build, stores, globals_, tracer=Tracer())
+    tracer = tracer if tracer is not None else Tracer()
+    traced_machine, traced = _run(build, stores, globals_, tracer=tracer)
     assert traced.cycles == result.cycles
     assert traced.stats == result.stats
     assert (
@@ -223,12 +224,9 @@ class TestObserversDisengage:
                 b.stop()
             return b
 
-        run_pinned(golden, "tracer", build)
-        machine, result = _run(
-            build, {0: ObjRef("out")}, [GlobalObject.zeros("out", 4)],
-            tracer=Tracer(),
-        )
-        events = [e.to_dict() for e in machine.tracer.events]
+        tracer = Tracer()
+        _, result = run_pinned(golden, "tracer", build, tracer=tracer)
+        events = [e.to_dict() for e in tracer.events]
         golden.check("spu/tracer_events", {
             "cycles": result.cycles, "events": golden.digest(events),
         })
