@@ -197,13 +197,14 @@ class SPU(Component):
             return Bucket.PREFETCH
         return default
 
-    def _account(self, bucket: str, cycles: int) -> None:
+    def _account(self, bucket: str, cycles: int, now: int) -> None:
+        """Charge ``cycles`` to ``bucket``; the hub sees them at ``now``."""
         if cycles > 0:
             self.stats.breakdown.add(bucket, cycles)
             if self.thread is not None:
                 self.stats.template_cycles[self.thread.program.name] += cycles
             if self._m_buckets is not None:
-                self._m_buckets[bucket].add(self.now, cycles)
+                self._m_buckets[bucket].add(now, cycles)
 
     # -- external notifications ----------------------------------------------
 
@@ -253,7 +254,8 @@ class SPU(Component):
 
     def _finish_external(self) -> None:
         # The resume tick runs next cycle; charge the stall through it.
-        self._account(self._stall_bucket, self.now + 1 - self._stall_start)
+        now = self.now
+        self._account(self._stall_bucket, now + 1 - self._stall_start, now)
         self._state = _State.RUNNING
         self._ext_kind = None
 
@@ -299,7 +301,7 @@ class SPU(Component):
         if self._state is _State.TIMED:
             if now < self._timed_until:
                 return self._timed_until
-            self._account(self._stall_bucket, now - self._stall_start)
+            self._account(self._stall_bucket, now - self._stall_start, now)
             self._stall_start = now
             action = self._timed_action
             if action is not None:
@@ -367,9 +369,8 @@ class SPU(Component):
         ALU and branch rows inline; structural ops (LS, memory,
         scheduler, DMA) run through :meth:`_dispatch_op`.
 
-        When the next instructions form a straight-line ALU run and no
-        per-cycle observer is attached, defers to :meth:`_fast_forward`
-        to retire the whole run in one tick.
+        When the next instructions form a straight-line ALU run, defers
+        to :meth:`_fast_forward` to retire the whole run in one tick.
         """
         thread = self.thread
         assert thread is not None
@@ -377,18 +378,17 @@ class SPU(Component):
         pc = self.pc
         pf_end = self._pf_end
         # Fast-forward only outside PF blocks (no Prefetching-bucket
-        # routing, no PF-boundary yield inside a window) and only when
-        # nothing needs per-cycle visibility: no tracer, no metrics hub.
-        # The sanitizer and fault injector never observe the SPU, and
-        # nothing external can interrupt a RUNNING pipeline, so window
-        # side effects at tick-time are indistinguishable from the
-        # per-cycle schedule.
+        # routing, no PF-boundary yield inside a window).  Nothing sees a
+        # window's interior cycles: the SPU traces only at dispatch,
+        # yield-dma and thread-stop, _fast_forward credits the hub cycle
+        # by cycle itself, and the sanitizer and fault injector never
+        # observe the SPU.  Nothing external can interrupt a RUNNING
+        # pipeline, so window side effects at tick-time are
+        # indistinguishable from the per-cycle schedule.
         if (
             (not pf_end or pc > pf_end or thread.prefetch_done)
             and pc < len(rows)
             and rows[pc][D_FF] >= 2
-            and self._m_buckets is None
-            and self._tracer is None
         ):
             return self._fast_forward(now, rows)
         program = thread.program
@@ -532,28 +532,33 @@ class SPU(Component):
                 self._m_issue_cycles.add()
                 if issued >= 2:
                     self._m_dual_issue.add()
-            self._account(bucket, 1 + penalty)
+            self._account(bucket, 1 + penalty, now)
         elif penalty:
-            self._account(bucket, penalty)
+            self._account(bucket, penalty, now)
 
     def _fast_forward(self, now: int, rows) -> int:
         """Retire a straight-line ALU run in one tick.
 
-        Engaged by :meth:`_issue_cycle` when ``rows[pc][D_FF] >= 2``, the
-        pc is past any PF block and nothing observes per-cycle state.
-        Replays the per-cycle loop exactly: one ALU issue per cycle (the
-        successor rule in :func:`~repro.isa.decoded.decode_program`
-        guarantees the per-cycle loop could never dual-issue inside the
-        run) and scoreboard stalls that advance ``now`` to the writer's
-        ready cycle, with the same stats credited in bulk.  The event engine
-        never visits the interior cycles.  Returns the next tick cycle.
+        Engaged by :meth:`_issue_cycle` when ``rows[pc][D_FF] >= 2`` and
+        the pc is past any PF block.  Replays the per-cycle loop exactly:
+        one ALU issue per cycle (the successor rule in
+        :func:`~repro.isa.decoded.decode_program` guarantees the per-cycle
+        loop could never dual-issue inside the run) and scoreboard stalls
+        that advance ``now`` to the writer's ready cycle.  Stats are
+        credited in bulk.  An attached hub gets what the per-cycle loop
+        would give it: each stall as one add at its resume cycle (where
+        the TIMED resume charges it), each stretch of issue cycles
+        between stalls as one span.  The event engine never visits the
+        interior cycles.  Returns the next tick cycle.
         """
         stats = self.stats
         regs = self.regs
         sb = self._scoreboard
         by_opcode = stats.mix.by_opcode
+        observed = self._m_issue is not None
         pc = self.pc
         end = pc + rows[pc][D_FF]
+        span_start = now  # first issue cycle not yet credited to the hub
         issue_cycles = 0
         while pc < end:
             row = rows[pc]
@@ -569,7 +574,12 @@ class SPU(Component):
             if worst_unit is not None:
                 # The per-cycle loop would block TIMED until worst_ready
                 # and charge the same bucket for the same interval.
-                self._account(_UNIT_BUCKET[worst_unit], worst_ready - now)
+                if observed:
+                    self._credit_issue_span(span_start, now)
+                    span_start = worst_ready
+                self._account(
+                    _UNIT_BUCKET[worst_unit], worst_ready - now, worst_ready
+                )
                 now = worst_ready
                 continue
             fn = row[D_FN]
@@ -589,8 +599,17 @@ class SPU(Component):
             now += 1
         self.pc = pc
         stats.issue_cycles += issue_cycles
-        self._account(Bucket.WORKING, issue_cycles)
+        stats.breakdown.add(Bucket.WORKING, issue_cycles)
+        stats.template_cycles[self.thread.program.name] += issue_cycles
+        if observed:
+            self._credit_issue_span(span_start, now)
+            self._m_issue_cycles.add(issue_cycles)
         return now
+
+    def _credit_issue_span(self, start: int, end: int) -> None:
+        """Hub credit of single-issue cycles ``[start, end)``."""
+        self._m_issue.add_span(start, end)
+        self._m_buckets[Bucket.WORKING].add_span(start, end)
 
     # -- per-opcode execution -------------------------------------------------------------------
 

@@ -21,8 +21,9 @@ tuples — one row per flat instruction — holding:
 * the scoreboard-checked register set and the result latency,
 * ``ff``: the **fast-forward run length** starting at this pc — the
   number of consecutive ALU instructions the SPU may execute inside a
-  single tick without any per-cycle observer noticing (see
-  ``SPU._fast_forward`` and ``docs/PERFORMANCE.md``).
+  single tick with the per-cycle loop's timing, stats and metrics-hub
+  credits, observed or not (see ``SPU._fast_forward`` and
+  ``docs/PERFORMANCE.md``).
 
 Rows are plain tuples indexed by the ``D_*`` constants (attribute access
 is what we are deleting from the hot path).  The decoded table attaches

@@ -125,6 +125,34 @@ class BucketSeries:
                 self.dropped_buckets += 1
         buckets.append([bucket, value])
 
+    def add_span(self, start: int, end: int) -> None:
+        """Add 1 for every cycle in ``[start, end)``.
+
+        Exactly ``add(c, 1)`` for each ``c`` in order — the same fold of
+        late cycles into the newest bucket, the same ring eviction — in
+        one step per bucket the span reaches instead of one per cycle.
+        """
+        if start >= end:
+            return
+        self.total += end - start
+        width = self.bucket_cycles
+        buckets = self._buckets
+        if buckets:
+            newest = buckets[-1]
+            limit = (newest[0] + 1) * width
+            if start < limit:
+                cut = min(end, limit)
+                newest[1] += cut - start
+                start = cut
+        while start < end:
+            bucket = start // width
+            cut = min(end, (bucket + 1) * width)
+            if len(buckets) >= self.max_buckets:
+                buckets.popleft()
+                self.dropped_buckets += 1
+            buckets.append([bucket, cut - start])
+            start = cut
+
     def __len__(self) -> int:
         return len(self._buckets)
 

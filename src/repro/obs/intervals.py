@@ -21,7 +21,7 @@ still open.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from repro.obs.trace import TraceEvent, TraceSink
 
@@ -44,7 +44,7 @@ PROFILE_KINDS = frozenset(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Interval:
     """One half-open busy window ``[start, end)``."""
 
@@ -66,7 +66,14 @@ class Interval:
         return self.start < other.end and other.start < self.end
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "start": self.start,
+            "end": self.end,
+            "kind": self.kind,
+            "tid": self.tid,
+            "label": self.label,
+            "size": self.size,
+        }
 
 
 class IntervalSink(TraceSink):

@@ -4,27 +4,57 @@
 one engine tick (see ``docs/PERFORMANCE.md``).  These unit tests drive
 mini-programs whose shapes hit every window boundary — branches,
 MEM-slot ops, scoreboard hazards, the PF/EX block edge.  Each
-mini-program's cycles and stats are pinned in ``tests/golden``.  A
-tracer keeps the SPU on its per-cycle loop, so every mini-program also
-runs traced: same cycles and stats, strictly more engine ticks.
+mini-program's cycles and stats are pinned in ``tests/golden``.
+
+Fast-forward stays on under the metrics hub and the tracer, so every
+mini-program also runs observed (a hub with 3-cycle buckets plus a
+tracer) and is compared with a per-cycle reference: the same observed
+run with every decoded fast-forward length zeroed.  Cycles, stats, trace
+events and the whole hub dump must match, with strictly fewer engine
+ticks.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+import pytest
+
+from repro.bench.scale import builders
 from repro.cell.machine import Machine
 from repro.core.activity import GlobalObject, ObjRef, SpawnSpec, TLPActivity
+from repro.isa import decoded
 from repro.isa.builder import ThreadBuilder
 from repro.isa.program import BlockKind
+from repro.obs.hub import HubConfig, MetricsHub
+from repro.obs.profile import profile_workload
 from repro.obs.trace import Tracer
+from repro.sim.config import paper_config
 from repro.testing import small_config
 
 
-def _run(build, stores, globals_, tracer=None):
+def per_cycle(monkeypatch):
+    """Make every program decoded from now on fast-forward nowhere, so
+    the SPU runs its per-cycle loop only: the reference a window must
+    reproduce exactly."""
+    decode = decoded.decode_program
+
+    def no_fast_forward(program):
+        return decoded.DecodedProgram(tuple(
+            row[:decoded.D_FF] + (0,) + row[decoded.D_FF + 1:]
+            for row in decode(program).rows
+        ))
+
+    monkeypatch.setattr(decoded, "decode_program", no_fast_forward)
+
+
+def _run(build, stores, globals_, observe=False):
     program = build().build()
     machine = Machine(small_config())
-    if tracer is not None:
+    tracer = None
+    if observe:
+        machine.attach_hub(MetricsHub(HubConfig(bucket_cycles=3)))
+        tracer = Tracer()
         machine.attach_tracer(tracer)
     machine.load(TLPActivity(
         name="t",
@@ -32,33 +62,45 @@ def _run(build, stores, globals_, tracer=None):
         globals_=globals_,
         spawns=[SpawnSpec(template=program.name, stores=stores)],
     ))
-    return machine, machine.run()
+    result = machine.run()
+    events = [e.to_dict() for e in tracer.events] if observe else None
+    return machine, result, events
 
 
-def run_pinned(golden, key, build, stores=None, globals_=None, tracer=None):
-    """Run ``build()``'s program untraced and under ``tracer``.
+def run_pinned(golden, key, build, stores=None, globals_=None):
+    """Run ``build()``'s program plain, observed, and observed per-cycle.
 
-    The untraced run's cycles and stats must match golden entry
-    ``spu/<key>``; the traced run must match the untraced one while
-    dispatching more engine ticks (fast-forward really skipped cycles).
-    Returns the untraced machine and result.
+    The plain run's cycles and stats must match golden entry
+    ``spu/<key>``.  The observed run must match it too, and must match
+    the per-cycle reference in cycles, stats, trace events and hub dump
+    while dispatching fewer engine ticks (fast-forward really skipped
+    cycles).  Returns the plain machine and result and the observed
+    run's trace events.
     """
     stores = stores if stores is not None else {0: ObjRef("out")}
     globals_ = globals_ or [GlobalObject.zeros("out", 4)]
-    machine, result = _run(build, stores, globals_)
+    machine, result, _ = _run(build, stores, globals_)
     golden.check(f"spu/{key}", {
         "cycles": result.cycles,
         "stats": golden.digest(dataclasses.asdict(result.stats)),
     })
-    tracer = tracer if tracer is not None else Tracer()
-    traced_machine, traced = _run(build, stores, globals_, tracer=tracer)
-    assert traced.cycles == result.cycles
-    assert traced.stats == result.stats
-    assert (
-        machine.engine.ticks_dispatched
-        < traced_machine.engine.ticks_dispatched
+    observed_machine, observed, events = _run(
+        build, stores, globals_, observe=True
     )
-    return machine, result
+    with pytest.MonkeyPatch.context() as mp:
+        per_cycle(mp)
+        ref_machine, ref, ref_events = _run(
+            build, stores, globals_, observe=True
+        )
+    assert observed.cycles == ref.cycles == result.cycles
+    assert observed.stats == ref.stats == result.stats
+    assert events == ref_events
+    assert observed_machine.hub.to_dict() == ref_machine.hub.to_dict()
+    assert (
+        observed_machine.engine.ticks_dispatched
+        < ref_machine.engine.ticks_dispatched
+    )
+    return machine, result, events
 
 
 def writer():
@@ -81,7 +123,7 @@ class TestStraightLineRuns:
                 b.stop()
             return b
 
-        machine, _ = run_pinned(golden, "long_alu_run", build)
+        machine, _, _ = run_pinned(golden, "long_alu_run", build)
         assert machine.read_global("out")[0] == sum(range(40))
 
     def test_working_bucket_credited_in_bulk_matches(self, golden):
@@ -97,16 +139,17 @@ class TestStraightLineRuns:
                 b.stop()
             return b
 
-        # run_pinned compares the bulk-credited stats with the traced
-        # run's per-cycle ones.
-        machine, _ = run_pinned(golden, "working_bucket", build)
+        # run_pinned compares the bulk-credited stats and hub series
+        # with the per-cycle reference's.
+        machine, _, _ = run_pinned(golden, "working_bucket", build)
         assert machine.read_global("out")[0] == 37
 
 
 class TestWindowBoundaries:
     def test_scoreboard_hazards_inside_the_window(self, golden):
         # A dependent MUL/DIV chain stalls on result latency mid-run; the
-        # window must charge the same stall buckets as per-cycle ticks.
+        # window must charge the same stall buckets as per-cycle ticks,
+        # and the hub must see each stall at its resume cycle.
         def build():
             b = writer()
             with b.block(BlockKind.PL):
@@ -122,7 +165,7 @@ class TestWindowBoundaries:
                 b.stop()
             return b
 
-        machine, _ = run_pinned(golden, "scoreboard_hazards", build)
+        machine, _, _ = run_pinned(golden, "scoreboard_hazards", build)
         assert machine.read_global("out")[0] == 40 // 30 + 1
 
     def test_branches_terminate_the_window(self, golden):
@@ -141,7 +184,7 @@ class TestWindowBoundaries:
                 b.stop()
             return b
 
-        machine, _ = run_pinned(golden, "branches", build)
+        machine, _, _ = run_pinned(golden, "branches", build)
         assert machine.read_global("out")[0] == sum(range(1, 26))
 
     def test_mem_slot_ops_interleaved(self, golden):
@@ -165,7 +208,7 @@ class TestWindowBoundaries:
                 b.stop()
             return b
 
-        machine, _ = run_pinned(golden, "mem_slot_ops", build)
+        machine, _, _ = run_pinned(golden, "mem_slot_ops", build)
         assert machine.read_global("out")[0] == 32
 
     def test_pf_block_boundary_never_fast_forwards(self, golden):
@@ -195,7 +238,7 @@ class TestWindowBoundaries:
                 b.stop()
             return b
 
-        machine, result = run_pinned(
+        machine, result, _ = run_pinned(
             golden, "pf_block_boundary", build,
             stores={0: ObjRef("out"), 1: ObjRef("src")},
             globals_=[
@@ -207,11 +250,12 @@ class TestWindowBoundaries:
         assert result.stats.spus[0].breakdown.prefetch > 0
 
 
-class TestObserversDisengage:
-    def test_tracer_forces_per_cycle_ticks(self, golden):
-        # With a tracer attached the window must not engage: per-cycle
-        # observers need every cycle visited.  The event stream is
-        # pinned, so a tracer that changed what it sees fails here.
+class TestObservedWindows:
+    def test_tracer_sees_the_per_cycle_event_stream(self, golden):
+        # Windows stay on under a tracer: the SPU traces only at
+        # dispatch, yield-dma and thread-stop, never inside an ALU run.
+        # The event stream is pinned, so a window that changed what the
+        # tracer sees fails here.
         def build():
             b = writer()
             with b.block(BlockKind.PL):
@@ -224,9 +268,27 @@ class TestObserversDisengage:
                 b.stop()
             return b
 
-        tracer = Tracer()
-        _, result = run_pinned(golden, "tracer", build, tracer=tracer)
-        events = [e.to_dict() for e in tracer.events]
+        _, result, events = run_pinned(golden, "tracer", build)
         golden.check("spu/tracer_events", {
             "cycles": result.cycles, "events": golden.digest(events),
         })
+
+    @pytest.mark.parametrize("name", ("bitcnt", "mmul", "zoom"))
+    def test_profile_equals_per_cycle_reference(self, name, monkeypatch):
+        # Eight SPEs and 7-cycle buckets: windows straddle bucket
+        # boundaries and land after other adds in the same bucket.  Only
+        # the engine's host-work count may differ.
+        def profile():
+            config = paper_config(8)
+            _, prof = profile_workload(
+                builders("test")[name](), config,
+                hub_config=HubConfig(bucket_cycles=7),
+            )
+            data = prof.to_dict()
+            return data, data["totals"].pop("engine_ticks")
+
+        observed, ticks = profile()
+        per_cycle(monkeypatch)
+        reference, ref_ticks = profile()
+        assert observed == reference
+        assert ticks < ref_ticks

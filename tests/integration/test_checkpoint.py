@@ -20,6 +20,7 @@ import pytest
 
 from repro.bench.scale import builders
 from repro.cell.machine import Machine
+from repro.cell.spu import _State
 from repro.compiler.passes import prefetch_transform
 from repro.sim.engine import Callback
 from repro.testing import small_config
@@ -128,14 +129,14 @@ def _heap_callbacks(machine, kind):
     ]
 
 
-def _qualifying_cycles(wl, cfg, total, predicate):
+def _qualifying_cycles(wl, cfg, total, predicate, hub=False):
     """Cycles of the (deterministic) reference run at which ``predicate``
     holds.  Reuses the checkpoint hook as an every-visited-cycle
     observation point without writing any files: the hook fires exactly
     at the pre-dispatch instant a checkpoint would capture, so a
     checkpoint taken at a returned cycle restores to a machine on which
     the predicate still holds."""
-    machine = Machine(cfg)
+    machine = _machine(cfg, hub)
     machine.load(prefetch_transform(wl.activity))
     hits: list[int] = []
 
@@ -150,17 +151,19 @@ def _qualifying_cycles(wl, cfg, total, predicate):
     return hits
 
 
-def _adversarial_roundtrip(wl, cfg, tmp_path, predicate, describe):
+def _adversarial_roundtrip(wl, cfg, tmp_path, predicate, describe,
+                           hub=False):
     """Checkpoint the reference run at a cycle where ``predicate`` holds,
     restore it, re-assert the predicate on the restored machine, and
-    prove the resumed run is bit-identical.  Returns the restored
-    machine (pre-resume state already consumed by the identity check is
-    re-loaded fresh for the caller's structural assertions)."""
-    _probe_machine, probe = _reference(wl, cfg, tmp_path)
-    hits = _qualifying_cycles(wl, cfg, probe.cycles, predicate)
+    prove the resumed run is bit-identical (with ``hub``, the metrics hub
+    dump too).  Returns the restored machine (pre-resume state already
+    consumed by the identity check is re-loaded fresh for the caller's
+    structural assertions)."""
+    _probe_machine, probe = _reference(wl, cfg, tmp_path, hub=hub)
+    hits = _qualifying_cycles(wl, cfg, probe.cycles, predicate, hub=hub)
     assert hits, f"this run never has {describe} in flight"
     target = hits[len(hits) // 2]
-    ref_machine, ref = _reference(wl, cfg, tmp_path, at=[target])
+    ref_machine, ref = _reference(wl, cfg, tmp_path, hub=hub, at=[target])
     assert ref.stats == probe.stats
     (path,) = sorted(tmp_path.glob("*.ckpt"))
     machine = Machine.load_checkpoint(str(path))
@@ -169,6 +172,19 @@ def _adversarial_roundtrip(wl, cfg, tmp_path, predicate, describe):
     )
     _assert_resumes_identically(wl, ref_machine, ref, path)
     return Machine.load_checkpoint(str(path))
+
+
+def _mid_fast_forward(m):
+    """Some SPU is inside a fast-forward window: RUNNING, its next tick
+    further ahead than a taken branch's penalty could put it."""
+    now = m.engine.now
+    return any(
+        spe.spu._state is _State.RUNNING
+        and spe.spu._scheduled_at is not None
+        and spe.spu._scheduled_at
+        > now + 1 + spe.spu.config.branch_taken_penalty
+        for spe in m.spes
+    )
 
 
 class TestAdversarialCycles:
@@ -236,23 +252,27 @@ class TestAdversarialCycles:
         # checkpoint inside that window must restore the decoded-program
         # cache (not serialized; rebuilt in restore_state) and re-enter
         # the window bit-identically.
-        def mid_fast_forward(m):
-            now = m.engine.now
-            return any(
-                spe.spu.thread is not None
-                and spe.spu._scheduled_at is not None
-                and spe.spu._scheduled_at > now + 1
-                for spe in m.spes
-            )
-
         wl = builders("test")["mmul"]()
         cfg = small_config(2)
         machine = _adversarial_roundtrip(
-            wl, cfg, tmp_path, mid_fast_forward, "a fast-forward window",
+            wl, cfg, tmp_path, _mid_fast_forward, "a fast-forward window",
         )
         for spe in machine.spes:
             if spe.spu.thread is not None:
                 assert spe.spu._dec is not None  # rebuilt, not pickled
+
+    def test_mid_fast_forward_window_under_hub(self, tmp_path):
+        # Windows stay on under the metrics hub and credit its series
+        # for cycles the engine has not reached yet.  A checkpoint inside
+        # a window must carry those credits: the restored run's hub dump
+        # equals the uninterrupted one.
+        wl = builders("test")["mmul"]()
+        cfg = small_config(2)
+        machine = _adversarial_roundtrip(
+            wl, cfg, tmp_path, _mid_fast_forward, "a fast-forward window",
+            hub=True,
+        )
+        assert machine.hub is not None
 
 
 class TestRandomCyclesProperty:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.bench.scale import builders
@@ -76,6 +78,75 @@ class TestBucketSeries:
             "dropped_buckets": 0,
             "points": [[0, 3]],
         }
+
+
+def _replay(ops, bucket_cycles, max_buckets, spans):
+    """Apply ``ops`` — ``("add", cycle, value)`` or ``("span", start,
+    end)`` — to a fresh series; with ``spans=False`` every span is
+    replayed as ``add(c, 1)`` per cycle, the per-cycle reference."""
+    s = BucketSeries("s", bucket_cycles, max_buckets)
+    for op, a, b in ops:
+        if op == "add":
+            s.add(a, b)
+        elif spans:
+            s.add_span(a, b)
+        else:
+            for cycle in range(a, b):
+                s.add(cycle, 1)
+    return s.to_dict()
+
+
+class TestAddSpan:
+    """``add_span(start, end)`` == ``add(c, 1)`` for each c in the span."""
+
+    @pytest.mark.parametrize("width,max_buckets,ops", [
+        pytest.param(10, 100, [("span", 3, 3)], id="empty"),
+        pytest.param(10, 100, [("span", 2, 7)], id="inside-one-bucket"),
+        pytest.param(10, 100, [("span", 7, 34)], id="straddles-buckets"),
+        pytest.param(3, 100, [("span", 0, 3), ("span", 3, 4)],
+                     id="adjacent-at-boundary"),
+        pytest.param(10, 100, [("add", 25, 1), ("span", 12, 27)],
+                     id="late-start-folds-then-continues"),
+        pytest.param(10, 100, [("add", 45, 2), ("span", 3, 19)],
+                     id="wholly-late-folds-into-newest"),
+        pytest.param(10, 100, [("add", 25, 1), ("span", 26, 30)],
+                     id="fills-newest-to-its-end"),
+        pytest.param(3, 4, [("span", 1, 50)], id="evicts-inside-one-span"),
+        pytest.param(3, 4, [("add", 0, 5), ("span", 4, 8), ("add", 30, 9),
+                            ("span", 30, 44)], id="evicts-across-ops"),
+        pytest.param(3, 1, [("span", 0, 10), ("span", 12, 13)],
+                     id="ring-of-one"),
+        pytest.param(3, 100, [("span", 0, 2), ("add", 9, 7), ("span", 9, 11),
+                              ("add", 20, 9), ("span", 20, 21)],
+                     id="stall-adds-between-spans"),
+    ])
+    def test_equals_per_cycle_adds(self, width, max_buckets, ops):
+        assert (
+            _replay(ops, width, max_buckets, spans=True)
+            == _replay(ops, width, max_buckets, spans=False)
+        )
+
+    def test_random_sequences_equal_per_cycle_adds(self):
+        rng = random.Random("add_span")
+        for _ in range(300):
+            width = rng.randint(1, 8)
+            max_buckets = rng.randint(1, 6)
+            cycle = rng.randint(0, 20)
+            ops = []
+            for _ in range(rng.randint(1, 12)):
+                # Mostly forward, like a pipeline; sometimes late.
+                start = max(0, cycle + rng.randint(-12, 6))
+                if rng.random() < 0.5:
+                    ops.append(("add", start, rng.randint(1, 9)))
+                    cycle = max(cycle, start)
+                else:
+                    end = start + rng.randint(0, 25)
+                    ops.append(("span", start, end))
+                    cycle = max(cycle, end)
+            assert (
+                _replay(ops, width, max_buckets, spans=True)
+                == _replay(ops, width, max_buckets, spans=False)
+            ), (width, max_buckets, ops)
 
 
 class TestGaugeSeries:

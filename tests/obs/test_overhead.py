@@ -1,4 +1,5 @@
-"""Observability cost: disabled == absent, enabled == timing-neutral."""
+"""Observability cost: disabled == absent, enabled == timing-neutral and
+the same engine work plus the sampler's."""
 
 from __future__ import annotations
 
@@ -8,14 +9,18 @@ from repro.bench.scale import builders
 from repro.cell.machine import Machine
 from repro.compiler.passes import prefetch_transform
 from repro.obs.hub import HubConfig, MetricsHub
+from repro.obs.intervals import PROFILE_KINDS, IntervalSink
+from repro.obs.trace import Tracer
 from repro.sim.config import paper_config
 
 
-def run_bitcnt(hub=None):
+def run_bitcnt(hub=None, tracer=None):
     workload = builders("test")["bitcnt"]()
     machine = Machine(paper_config(2))
     if hub is not None:
         machine.attach_hub(hub)
+    if tracer is not None:
+        machine.attach_tracer(tracer)
     machine.load(prefetch_transform(workload.activity))
     return machine, machine.run()
 
@@ -73,4 +78,22 @@ class TestEnabledHubIsTimingNeutral:
         assert observed.stats.mix.total == plain.stats.mix.total
         assert (
             observed.stats.mfc.commands == plain.stats.mfc.commands
+        )
+
+    def test_observed_run_does_the_plain_runs_engine_work(self):
+        # SPU fast-forward stays on under the hub and the profiling
+        # tracer, so an observed run dispatches exactly the plain run's
+        # engine ticks plus the sampler's own.
+        plain_machine, plain = run_bitcnt()
+        tracer = Tracer(kinds=PROFILE_KINDS, sink=IntervalSink())
+        machine, observed = run_bitcnt(MetricsHub(), tracer)
+        assert observed.stats == plain.stats
+        assert machine.sampler.samples > 0
+        assert (
+            machine.engine.ticks_dispatched
+            == plain_machine.engine.ticks_dispatched + machine.sampler.samples
+        )
+        assert (
+            machine.engine.callbacks_dispatched
+            == plain_machine.engine.callbacks_dispatched
         )
