@@ -82,6 +82,21 @@ class TestCallbackDescriptors:
         clone()
         assert clone.owner.seen == [(7,)]
 
+    def test_unpickled_descriptor_runs_its_kinds_function(self):
+        # The pickled form is plain data; the executor is looked up by
+        # kind again when the descriptor is unpickled.
+        r = Recorder("r")
+        cb = Callback("test.record", r, ("again",))
+        assert cb.__getstate__() == ("test.record", r, ("again",), False)
+        owner, clone = pickle.loads(pickle.dumps((r, cb)))
+        assert clone.owner is owner
+        eng = Engine()
+        eng.register(owner)
+        eng.call_at(3, clone)
+        eng.drain()
+        assert owner.seen == [("again",)]
+        assert r.seen == []
+
     def test_describe_names_kind_and_owner(self):
         cb = Callback("test.record", Recorder("mfc0"))
         assert cb.describe() == "test.record(mfc0)"
