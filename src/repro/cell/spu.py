@@ -51,6 +51,7 @@ from repro.isa.decoded import (
     D_FF,
     D_FN,
     D_HAZ,
+    D_IMM,
     D_KIND,
     D_LAT,
     D_MEM,
@@ -59,6 +60,7 @@ from repro.isa.decoded import (
     D_TARGET,
     K_ALU,
     K_BRANCH,
+    K_LS,
 )
 from repro.isa.instructions import Imm, Instruction, Reg
 from repro.isa.opcodes import Op, Unit
@@ -93,6 +95,10 @@ _UNIT_BUCKET = {
     Unit.MFC: Bucket.PREFETCH,
     Unit.PIPE: Bucket.WORKING,
 }
+
+#: Most cycles one fast-forward window covers before it returns to the
+#: engine, so a loop that never exits still reaches ``max_cycles``.
+_WINDOW_CYCLES = 4096
 
 
 class SPU(Component):
@@ -200,7 +206,9 @@ class SPU(Component):
     def _account(self, bucket: str, cycles: int, now: int) -> None:
         """Charge ``cycles`` to ``bucket``; the hub sees them at ``now``."""
         if cycles > 0:
-            self.stats.breakdown.add(bucket, cycles)
+            # Callers pass Bucket names only: update the field directly,
+            # without TimeBreakdown.add's checks.
+            self.stats.breakdown.__dict__[bucket] += cycles
             if self.thread is not None:
                 self.stats.template_cycles[self.thread.program.name] += cycles
             if self._m_buckets is not None:
@@ -366,46 +374,47 @@ class SPU(Component):
         """Issue up to one MEM-slot and one ALU-slot instruction.
 
         Reads the pre-resolved :mod:`repro.isa.decoded` rows and executes
-        ALU and branch rows inline; structural ops (LS, memory,
-        scheduler, DMA) run through :meth:`_dispatch_op`.
+        ALU, branch and Local Store rows inline; memory, scheduler and
+        DMA ops run through :meth:`_dispatch_op`.
 
-        When the next instructions form a straight-line ALU run, defers
-        to :meth:`_fast_forward` to retire the whole run in one tick.
+        When the next instructions form an ALU run (with the branches it
+        reaches), defers to :meth:`_fast_forward` to retire it in one tick.
         """
         thread = self.thread
         assert thread is not None
         rows = self._dec.rows
         pc = self.pc
         pf_end = self._pf_end
-        # Fast-forward only outside PF blocks (no Prefetching-bucket
+        open_pf = pf_end and not thread.prefetch_done
+        # Fast-forward only outside open PF blocks (no Prefetching-bucket
         # routing, no PF-boundary yield inside a window).  Nothing sees a
         # window's interior cycles: the SPU traces only at dispatch,
-        # yield-dma and thread-stop, _fast_forward credits the hub cycle
-        # by cycle itself, and the sanitizer and fault injector never
-        # observe the SPU.  Nothing external can interrupt a RUNNING
-        # pipeline, so window side effects at tick-time are
-        # indistinguishable from the per-cycle schedule.
+        # yield-dma and thread-stop, _fast_forward credits the hub in
+        # spans, and the sanitizer and fault injector never observe the
+        # SPU.  Nothing external can interrupt a RUNNING pipeline, so
+        # window side effects at tick-time are indistinguishable from the
+        # per-cycle schedule.
         if (
-            (not pf_end or pc > pf_end or thread.prefetch_done)
+            (not open_pf or pc > pf_end)
             and pc < len(rows)
             and rows[pc][D_FF] >= 2
         ):
             return self._fast_forward(now, rows)
-        program = thread.program
-        flat = program.flat
         issued = 0
         mem_used = False
         alu_used = False
         penalty = 0
         # Capture the bucket at cycle start: instructions issued this cycle
         # belong to the block the PC sat in when the cycle began.
-        cycle_bucket = self._bucket(Bucket.WORKING)
+        cycle_bucket = (
+            Bucket.PREFETCH if open_pf and pc < pf_end else Bucket.WORKING
+        )
         regs = self.regs
         sb = self._scoreboard
-        stats = self.stats
+        by_opcode = self.stats.mix.by_opcode
         while issued < self.config.issue_width:
             # PF-block boundary: yield the pipeline if DMA is outstanding.
-            if pf_end and self.pc == pf_end and not thread.prefetch_done:
+            if pf_end and pc == pf_end and not thread.prefetch_done:
                 if issued:
                     break  # handle the boundary at the top of the next cycle
                 assert self._lse is not None
@@ -417,12 +426,13 @@ class SPU(Component):
                         return None
                     return now + 1 if self._state is _State.RUNNING else None
                 thread.transition(ThreadState.EXECUTING)
-            if self.pc >= len(flat):
+            if pc >= len(rows):
+                self.pc = pc
                 raise SpuFault(
-                    f"{self.name}: fell off the end of {program.name!r} "
+                    f"{self.name}: fell off the end of {thread.program.name!r} "
                     f"(missing STOP?)"
                 )
-            row = rows[self.pc]
+            row = rows[pc]
             if row[D_MEM]:
                 if mem_used:
                     break
@@ -458,9 +468,9 @@ class SPU(Component):
                     lat = row[D_LAT]
                     if lat > 1:
                         sb[rd] = (now + lat, Unit.PIPE)
-                self.pc += 1
+                pc += 1
                 issued += 1
-                stats.mix.record(row[D_NAME])
+                by_opcode[row[D_NAME]] += 1
                 alu_used = True
                 continue
             if kind == K_BRANCH:
@@ -469,17 +479,70 @@ class SPU(Component):
                 br = row[D_BREG]
                 b = regs[br] if br is not None else row[D_BVAL]
                 issued += 1
-                stats.mix.record(row[D_NAME])
+                by_opcode[row[D_NAME]] += 1
                 alu_used = True
                 if row[D_FN](a, b):
-                    self.pc = row[D_TARGET]
+                    pc = row[D_TARGET]
                     penalty = self.config.branch_taken_penalty
                     break
-                self.pc += 1
+                pc += 1
                 continue
-            # Structural ops (LS, memory, scheduler, DMA).
-            instr = flat[self.pc]
-            outcome = self._dispatch_op(instr, now, issued)
+            if kind == K_LS:
+                # Local Store (frame + prefetched data): one LS port each.
+                ls = self.ls
+                if not ls.reserve_port(now):
+                    if issued:
+                        break  # structural conflict; retry next cycle
+                    self._block_timed(
+                        ls.next_free_port_cycle(now),
+                        self._bucket(Bucket.LS_STALL),
+                    )
+                    return self._timed_until
+                name = row[D_NAME]
+                if name == "LLOAD" or name == "LSTORE":
+                    ar = row[D_AREG]
+                    addr = (
+                        regs[ar] if ar is not None else row[D_AVAL]
+                    ) + row[D_IMM]
+                else:  # LOAD, STOREF: a slot of the thread's own frame
+                    addr = thread.frame_addr + 4 * row[D_IMM]
+                rd = row[D_RD]
+                if rd is not None:  # LLOAD, LOAD
+                    if (
+                        self._check_loads
+                        and name == "LOAD"
+                        and self._lse.check_poisoned_load(thread, addr)
+                    ):
+                        # The word was poisoned by a corrupted producer
+                        # store; the LSE scrubbed it and squashed the
+                        # thread for re-execution before anything was
+                        # consumed.  The aborted LOAD is not counted as
+                        # issued.
+                        return self._next_thread(
+                            issued, now, penalty, cycle_bucket
+                        )
+                    regs[rd] = ls.read_word(addr)
+                    sb[rd] = (
+                        now + self.machine_config.local_store.latency, Unit.LS
+                    )
+                elif name == "LSTORE":
+                    br = row[D_BREG]
+                    ls.write_word(
+                        addr, regs[br] if br is not None else row[D_BVAL]
+                    )
+                else:  # STOREF
+                    ar = row[D_AREG]
+                    ls.write_word(
+                        addr, regs[ar] if ar is not None else row[D_AVAL]
+                    )
+                pc += 1
+                issued += 1
+                by_opcode[name] += 1
+                mem_used = True
+                continue
+            # Memory, scheduler and DMA ops.
+            self.pc = pc
+            outcome = self._dispatch_op(thread.program.flat[pc], now, issued)
             if outcome == "blocked":
                 # The op entered a timed/external wait (only legal as the
                 # first issue of the cycle).
@@ -487,38 +550,36 @@ class SPU(Component):
                 return self._timed_until if self._state is _State.TIMED else None
             if outcome == "retry":
                 break  # structural conflict; retry next cycle
-            if outcome == "squashed":
-                # Data-fault recovery pulled the thread off the pipeline;
-                # the aborted LOAD is not counted as issued.
-                self._detach()
-                self._charge_issue(issued, now, penalty, cycle_bucket)
-                if not self._try_dispatch(now):
-                    return None
-                if self._state is _State.TIMED:
-                    self._stall_start = now + 1
-                    return self._timed_until
-                return now + 1
+            pc = self.pc
             issued += 1
-            stats.mix.record(row[D_NAME])
+            by_opcode[row[D_NAME]] += 1
             mem_used = True  # every delegated op occupies the MEM slot
             if outcome == "stop":
-                self._detach()
-                self._charge_issue(issued, now, penalty, cycle_bucket)
-                if not self._try_dispatch(now):
-                    return None
-                if self._state is _State.TIMED:
-                    # The issue cycle is already charged; the dispatch
-                    # stall starts next cycle.
-                    self._stall_start = now + 1
-                    return self._timed_until
-                return now + 1
+                return self._next_thread(issued, now, penalty, cycle_bucket)
             if outcome == "yielded" or self._state is not _State.RUNNING:
                 # A blocking op issued and is now waiting (READ, FALLOC...).
                 self._charge_issue(issued, now, penalty, cycle_bucket)
                 self._stall_start = now + 1
                 return self._timed_until if self._state is _State.TIMED else None
+        self.pc = pc
         self._charge_issue(issued, now, penalty, cycle_bucket)
         return now + 1 + penalty
+
+    def _next_thread(
+        self, issued: int, now: int, penalty: int, bucket: str
+    ) -> int | None:
+        """The thread left the pipeline (STOP, or a squash): charge the
+        issue cycle and dispatch the next ready thread."""
+        self._detach()
+        self._charge_issue(issued, now, penalty, bucket)
+        if not self._try_dispatch(now):
+            return None
+        if self._state is _State.TIMED:
+            # The issue cycle is already charged; the dispatch stall
+            # starts next cycle.
+            self._stall_start = now + 1
+            return self._timed_until
+        return now + 1
 
     def _charge_issue(
         self, issued: int, now: int, penalty: int, bucket: str
@@ -537,31 +598,51 @@ class SPU(Component):
             self._account(bucket, penalty, now)
 
     def _fast_forward(self, now: int, rows) -> int:
-        """Retire a straight-line ALU run in one tick.
+        """Retire an ALU run, following the branches it reaches, in one tick.
 
         Engaged by :meth:`_issue_cycle` when ``rows[pc][D_FF] >= 2`` and
-        the pc is past any PF block.  Replays the per-cycle loop exactly:
-        one ALU issue per cycle (the successor rule in
+        the pc is past any open PF block.  Replays the per-cycle loop
+        exactly: one issue per cycle (the successor rule in
         :func:`~repro.isa.decoded.decode_program` guarantees the per-cycle
-        loop could never dual-issue inside the run) and scoreboard stalls
-        that advance ``now`` to the writer's ready cycle.  Stats are
-        credited in bulk.  An attached hub gets what the per-cycle loop
-        would give it: each stall as one add at its resume cycle (where
-        the TIMED resume charges it), each stretch of issue cycles
-        between stalls as one span.  The event engine never visits the
-        interior cycles.  Returns the next tick cycle.
+        loop could never dual-issue inside the window) and scoreboard
+        stalls that advance ``now`` to the writer's ready cycle.
+
+        A branch is evaluated from the registers: values are final at
+        issue, the scoreboard only times them.  Taken, it costs its issue
+        cycle plus ``branch_taken_penalty``, as in :meth:`_charge_issue`,
+        and the window goes on at ``D_TARGET``.  Not taken, the window
+        goes on at the fall-through, unless that is a MEM-slot op: the
+        per-cycle loop would issue it in the branch's cycle, so the
+        window ends before the branch.  The window also ends at a row
+        with ``D_FF == 0``, at a target inside an open PF block, and
+        after ``_WINDOW_CYCLES`` cycles, so an endless loop still
+        returns to the engine.
+
+        Stats are credited in bulk.  An attached hub gets what the
+        per-cycle loop would give it: each stall as one add at its resume
+        cycle (where the TIMED resume charges it), each stretch of issue
+        cycles between stalls and taken branches as one span, and each
+        branch penalty as one add at its branch's cycle.  The event
+        engine never visits the interior cycles.  Returns the next tick
+        cycle.
         """
         stats = self.stats
         regs = self.regs
         sb = self._scoreboard
         by_opcode = stats.mix.by_opcode
         observed = self._m_issue is not None
+        pf_end = self._pf_end
+        open_pf = pf_end and not self.thread.prefetch_done
+        branch_penalty = self.config.branch_taken_penalty
+        stop = now + _WINDOW_CYCLES
         pc = self.pc
-        end = pc + rows[pc][D_FF]
         span_start = now  # first issue cycle not yet credited to the hub
         issue_cycles = 0
-        while pc < end:
+        penalty_cycles = 0
+        while now < stop:
             row = rows[pc]
+            if not row[D_FF]:
+                break
             worst_ready = 0
             worst_unit = None
             for r in row[D_HAZ]:
@@ -588,19 +669,40 @@ class SPU(Component):
                 a = regs[ar] if ar is not None else row[D_AVAL]
                 br = row[D_BREG]
                 b = regs[br] if br is not None else row[D_BVAL]
-                rd = row[D_RD]
-                regs[rd] = fn(a, b)
-                lat = row[D_LAT]
-                if lat > 1:
-                    sb[rd] = (now + lat, Unit.PIPE)
+                if row[D_KIND] != K_BRANCH:
+                    rd = row[D_RD]
+                    regs[rd] = fn(a, b)
+                    lat = row[D_LAT]
+                    if lat > 1:
+                        sb[rd] = (now + lat, Unit.PIPE)
+                elif fn(a, b):
+                    # Taken: the issue cycle plus the penalty, as in
+                    # _charge_issue; the hub's issue span ends here.
+                    if observed:
+                        self._credit_issue_span(span_start, now + 1)
+                        self._m_buckets[Bucket.WORKING].add(
+                            now, branch_penalty
+                        )
+                    by_opcode[row[D_NAME]] += 1
+                    issue_cycles += 1
+                    penalty_cycles += branch_penalty
+                    now += 1 + branch_penalty
+                    span_start = now
+                    pc = row[D_TARGET]
+                    if open_pf and pc <= pf_end:
+                        break  # the target is in an open PF block
+                    continue
+                elif rows[pc + 1][D_MEM]:
+                    break  # the per-cycle loop would dual-issue the two
             by_opcode[row[D_NAME]] += 1
             pc += 1
             issue_cycles += 1
             now += 1
         self.pc = pc
         stats.issue_cycles += issue_cycles
-        stats.breakdown.add(Bucket.WORKING, issue_cycles)
-        stats.template_cycles[self.thread.program.name] += issue_cycles
+        cycles = issue_cycles + penalty_cycles
+        stats.breakdown.working += cycles
+        stats.template_cycles[self.thread.program.name] += cycles
         if observed:
             self._credit_issue_span(span_start, now)
             self._m_issue_cycles.add(issue_cycles)
@@ -621,54 +723,18 @@ class SPU(Component):
         raise SpuFault(f"{self.name}: missing operand")
 
     def _dispatch_op(self, instr: Instruction, now: int, issued: int) -> str:
-        """Execute the structural op ``instr`` if possible.
+        """Execute the memory, scheduler or DMA op ``instr`` if possible.
 
-        Returns "issued", "stop", "yielded" (issued but the pipeline is
-        now waiting), "retry" (structural conflict, nothing done),
-        "blocked" (entered a stall; only when nothing was issued this
-        cycle) or "squashed" (data-fault recovery took the thread).
+        Local Store ops never come here: :meth:`_issue_cycle` issues them
+        inline from their decoded rows.  Returns "issued", "stop",
+        "yielded" (issued but the pipeline is now waiting), "retry"
+        (structural conflict, nothing done) or "blocked" (entered a
+        stall; only when nothing was issued this cycle).
         """
         op = instr.op
         thread = self.thread
         assert thread is not None
         assert self._lse is not None
-
-        # -- local store (frame + prefetched data) -------------------------------
-        if op in (Op.LOAD, Op.STOREF, Op.LLOAD, Op.LSTORE):
-            if not self.ls.reserve_port(now):
-                if issued == 0:
-                    wake = self.ls.next_free_port_cycle(now)
-                    self._block_timed(wake, self._bucket(Bucket.LS_STALL))
-                    return "blocked"
-                return "retry"
-            lat = self.machine_config.local_store.latency
-            if op is Op.LOAD:
-                assert thread.frame_addr is not None
-                addr = thread.frame_addr + 4 * instr.imm
-                if self._check_loads and self._lse.check_poisoned_load(
-                    thread, addr
-                ):
-                    # The word was poisoned by a corrupted producer
-                    # store; the LSE scrubbed it and squashed the thread
-                    # for re-execution before anything was consumed.
-                    return "squashed"
-                value = self.ls.read_word(addr)
-                self.regs[instr.rd] = value
-                self._scoreboard[instr.rd] = (now + lat, Unit.LS)
-            elif op is Op.STOREF:
-                assert thread.frame_addr is not None
-                self.ls.write_word(
-                    thread.frame_addr + 4 * instr.imm, self._val(instr.ra)
-                )
-            elif op is Op.LLOAD:
-                addr = self._val(instr.ra) + instr.imm
-                self.regs[instr.rd] = self.ls.read_word(addr)
-                self._scoreboard[instr.rd] = (now + lat, Unit.LS)
-            else:  # LSTORE
-                addr = self._val(instr.ra) + instr.imm
-                self.ls.write_word(addr, self._val(instr.rb))
-            self.pc += 1
-            return "issued"
 
         # -- main memory -----------------------------------------------------------
         if op is Op.READ:

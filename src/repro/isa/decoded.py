@@ -10,19 +10,24 @@ data.
 :func:`decode_program` resolves all of it **once per program** into flat
 tuples — one row per flat instruction — holding:
 
-* a small-int dispatch ``kind``: ALU, branch, or structural (every
-  other op, which the SPU executes from the :class:`Instruction`),
+* a small-int dispatch ``kind``: ALU, branch, Local Store (LOAD, STOREF,
+  LLOAD, LSTORE; issued inline by the SPU) or structural (every other
+  op, which the SPU executes from the :class:`Instruction`),
 * pre-resolved operands (register index *or* immediate value, with the
-  ALU ``imm``-as-``rb`` fallback already folded in),
+  ALU ``imm``-as-``rb`` fallback already folded in) and the raw
+  instruction immediate ``imm`` (a Local Store row's frame slot or
+  address offset),
 * the value function (one tiny closure per opcode instead of the
   ``alu_result`` if-chain; ``tests/isa/test_decoded.py`` pins these to
   :func:`~repro.isa.semantics.alu_result` /
   :func:`~repro.isa.semantics.branch_taken` so they cannot drift),
 * the scoreboard-checked register set and the result latency,
 * ``ff``: the **fast-forward run length** starting at this pc — the
-  number of consecutive ALU instructions the SPU may execute inside a
-  single tick with the per-cycle loop's timing, stats and metrics-hub
-  credits, observed or not (see ``SPU._fast_forward`` and
+  number of consecutive instructions the SPU may retire one per cycle
+  inside a single tick with the per-cycle loop's timing, stats and
+  metrics-hub credits, observed or not.  A branch row has ``ff = 1`` and
+  an ALU run's ``ff`` counts a trailing branch: the window evaluates the
+  branch and follows it (see ``SPU._fast_forward`` and
   ``docs/PERFORMANCE.md``).
 
 Rows are plain tuples indexed by the ``D_*`` constants (attribute access
@@ -52,9 +57,9 @@ __all__ = [
     "decode_program",
     # row field indices
     "D_KIND", "D_AREG", "D_AVAL", "D_BREG", "D_BVAL", "D_RD", "D_TARGET",
-    "D_LAT", "D_HAZ", "D_FN", "D_NAME", "D_MEM", "D_FF",
+    "D_LAT", "D_HAZ", "D_FN", "D_NAME", "D_MEM", "D_FF", "D_IMM",
     # dispatch kinds
-    "K_ALU", "K_BRANCH", "K_STRUCT",
+    "K_ALU", "K_BRANCH", "K_LS", "K_STRUCT",
 ]
 
 
@@ -71,20 +76,29 @@ D_TARGET = 6  #: resolved branch target flat index, or None
 D_LAT = 7     #: result latency in cycles (>= 1; ALU rows only matter)
 D_HAZ = 8     #: tuple of scoreboard-checked register indices, in ra,rb,rd order
 D_FN = 9      #: value function (ALU result / branch predicate), or None (NOP)
-D_NAME = 10   #: op mnemonic (InstructionMix.record key)
+D_NAME = 10   #: op mnemonic (InstructionMix.by_opcode key)
 D_MEM = 11    #: True when the op occupies the MEM issue slot
 D_FF = 12     #: fast-forward run length starting at this pc (0 = ineligible)
+D_IMM = 13    #: the instruction's raw immediate, or None
 
 # -- dispatch kinds -----------------------------------------------------------
 
 K_ALU = 0
 K_BRANCH = 1
-K_STRUCT = 2  #: LS, memory, scheduler and DMA ops (SPU._dispatch_op)
+K_LS = 2      #: LOAD, STOREF, LLOAD, LSTORE (issued inline by the SPU)
+K_STRUCT = 3  #: memory, scheduler and DMA ops (SPU._dispatch_op)
+
+#: Ops that decode to K_LS rows.
+_LS_OPS = frozenset({Op.LOAD, Op.STOREF, Op.LLOAD, Op.LSTORE})
 
 
 # -- value functions ----------------------------------------------------------
 # One closure per opcode; semantically identical to alu_result/branch_taken
-# (pinned by tests/isa/test_decoded.py) but without the if-chain.
+# (pinned by tests/isa/test_decoded.py) but without the if-chain.  ADD, SUB
+# and MUL wrap to signed 64 bits inline, as wrap64 does, without the call.
+
+_SIGN = 1 << 63
+_MASK = (1 << 64) - 1
 
 
 def _div(a: int, b: int) -> int:
@@ -102,12 +116,12 @@ def _mod(a: int, b: int) -> int:
 
 
 _ALU_FN: dict[Op, typing.Callable[[int, int], int]] = {
-    Op.ADD: lambda a, b: wrap64(a + b),
-    Op.ADDI: lambda a, b: wrap64(a + b),
-    Op.SUB: lambda a, b: wrap64(a - b),
-    Op.SUBI: lambda a, b: wrap64(a - b),
-    Op.MUL: lambda a, b: wrap64(a * b),
-    Op.MULI: lambda a, b: wrap64(a * b),
+    Op.ADD: lambda a, b: ((a + b + _SIGN) & _MASK) - _SIGN,
+    Op.ADDI: lambda a, b: ((a + b + _SIGN) & _MASK) - _SIGN,
+    Op.SUB: lambda a, b: ((a - b + _SIGN) & _MASK) - _SIGN,
+    Op.SUBI: lambda a, b: ((a - b + _SIGN) & _MASK) - _SIGN,
+    Op.MUL: lambda a, b: ((a * b + _SIGN) & _MASK) - _SIGN,
+    Op.MULI: lambda a, b: ((a * b + _SIGN) & _MASK) - _SIGN,
     Op.DIV: _div,
     Op.MOD: _mod,
     Op.AND: lambda a, b: wrap64(to_unsigned64(a) & to_unsigned64(b)),
@@ -184,7 +198,7 @@ def decode_program(program: "ThreadProgram") -> DecodedProgram:
                 b_reg, b_val = None, instr.imm if instr.imm is not None else 0
             fn = _ALU_FN.get(op)  # None for NOP
         else:
-            kind = K_STRUCT
+            kind = K_LS if op in _LS_OPS else K_STRUCT
             b_reg, b_val = _operand(instr.rb)
             fn = None
         haz: list[int] = []
@@ -205,22 +219,26 @@ def decode_program(program: "ThreadProgram") -> DecodedProgram:
             fn,
             op.value,
             spec.slot is Slot.MEM,
-            0,  # D_FF, filled below
+            1 if kind == K_BRANCH else 0,  # D_FF; ALU rows filled below
+            instr.imm,
         ])
 
     # Fast-forward run lengths.  ff[i] = the number of instructions,
     # starting at i, the SPU may retire at one per cycle inside a single
     # tick with timing identical to the per-cycle path.  Requirements,
     # derived from the dual-issue rules in SPU._issue_cycle:
-    #   * instruction i is a non-branch ALU op (register-only effects,
-    #     single ALU slot, scoreboard handled by the fast loop itself);
-    #   * instruction i+1 occupies the ALU slot too.  If it were a
-    #     MEM-slot op, the per-cycle path would dual-issue it *in the
-    #     same cycle* as instruction i, so i must be left to the
+    #   * instruction i is an ALU op (register-only effects, single ALU
+    #     slot, scoreboard handled by the fast loop itself) or a branch
+    #     (ff = 1: the window evaluates it from the registers, and where
+    #     it goes next is decided there, not here);
+    #   * for an ALU op, instruction i+1 occupies the ALU slot too.  If
+    #     it were a MEM-slot op, the per-cycle path would dual-issue it
+    #     *in the same cycle* as instruction i, so i must be left to the
     #     per-cycle loop.  An ALU/branch successor ends the cycle after
-    #     one issue (alu_used) — exactly what the fast loop models.
+    #     one issue (alu_used) — exactly what the fast loop models — and
+    #     its own ff extends the run.
     # The final instruction is always STOP (MEM slot), so i+1 exists for
-    # every ALU instruction.
+    # every ALU or branch instruction.
     for i in range(n - 2, -1, -1):
         row = partial[i]
         if row[D_KIND] != K_ALU:
@@ -228,6 +246,6 @@ def decode_program(program: "ThreadProgram") -> DecodedProgram:
         nxt = partial[i + 1]
         if nxt[D_MEM]:
             continue  # would dual-issue with i: not fast-forwardable
-        row[D_FF] = 1 + (nxt[D_FF] if nxt[D_KIND] == K_ALU else 0)
+        row[D_FF] = 1 + nxt[D_FF]
 
     return DecodedProgram(tuple(tuple(row) for row in partial))

@@ -91,7 +91,9 @@ class Component:
     @property
     def now(self) -> int:
         """Current simulation cycle."""
-        return self.engine.now
+        # Hot path: the engine property is only consulted (and raises)
+        # when the component is not registered.
+        return (self._engine or self.engine)._now
 
     # -- scheduling --------------------------------------------------------
 
@@ -102,7 +104,7 @@ class Component:
         components can be woken redundantly without flooding the event
         queue.
         """
-        self.engine.schedule(self, cycle)
+        (self._engine or self.engine).schedule(self, cycle)
 
     def tick(self, now: int) -> int | None:
         """Advance the component at cycle ``now``.

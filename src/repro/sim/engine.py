@@ -73,18 +73,22 @@ class Callback:
     but is skipped (and counted as stale) at dispatch.
     """
 
-    __slots__ = ("kind", "owner", "payload", "cancelled")
+    __slots__ = ("kind", "owner", "payload", "cancelled", "_fn")
 
     def __init__(self, kind: str, owner: object, payload: tuple = ()) -> None:
-        if kind not in _CALLBACK_KINDS:
+        fn = _CALLBACK_KINDS.get(kind)
+        if fn is None:
             raise ValueError(f"unregistered callback kind {kind!r}")
         self.kind = kind
         self.owner = owner
         self.payload = payload
         self.cancelled = False
+        #: The kind's registered executor; looked up again on unpickling,
+        #: never serialized.
+        self._fn = fn
 
     def __call__(self) -> None:
-        _CALLBACK_KINDS[self.kind](self.owner, *self.payload)
+        self._fn(self.owner, *self.payload)
 
     def describe(self) -> str:
         owner = getattr(self.owner, "name", None) or repr(self.owner)
@@ -96,6 +100,7 @@ class Callback:
 
     def __setstate__(self, state: tuple) -> None:
         self.kind, self.owner, self.payload, self.cancelled = state
+        self._fn = _CALLBACK_KINDS[self.kind]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         flag = " cancelled" if self.cancelled else ""
@@ -281,6 +286,8 @@ class Engine:
         else:
             next_ckpt = None
         heap = self._heap
+        heappop = heapq.heappop
+        heappush = heapq.heappush
         while True:
             if until is not None and until():
                 return self._now
@@ -304,7 +311,7 @@ class Engine:
             # requests for the current (or a past) cycle to now + 1,
             # so this inner loop always terminates.
             while heap and heap[0][0] == cycle:
-                target = heapq.heappop(heap)[4]
+                target = heappop(heap)[4]
                 if isinstance(target, Component):
                     if target._scheduled_at != cycle:
                         self.stale_skipped += 1
@@ -319,7 +326,18 @@ class Engine:
                                 f"component {target.name!r} returned non-advancing "
                                 f"next tick {nxt} at cycle {cycle}"
                             )
-                        self.schedule(target, nxt)
+                        if target._scheduled_at is None:
+                            # Nothing woke it during the tick: re-arm it
+                            # directly (what schedule() does in that case).
+                            target._scheduled_at = nxt
+                            self._live += 1
+                            self._seq += 1
+                            heappush(heap, (
+                                nxt, target.priority, target._order,
+                                self._seq, target,
+                            ))
+                        else:
+                            self.schedule(target, nxt)
                 else:
                     if isinstance(target, Callback) and target.cancelled:
                         self.stale_skipped += 1

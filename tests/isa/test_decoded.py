@@ -15,12 +15,14 @@ from repro.isa.builder import ThreadBuilder
 from repro.isa.decoded import (
     _ALU_FN,
     _BRANCH_FN,
+    D_AREG,
     D_AVAL,
     D_BREG,
     D_BVAL,
     D_FF,
     D_FN,
     D_HAZ,
+    D_IMM,
     D_KIND,
     D_LAT,
     D_MEM,
@@ -29,6 +31,7 @@ from repro.isa.decoded import (
     D_TARGET,
     K_ALU,
     K_BRANCH,
+    K_LS,
     K_STRUCT,
     decode_program,
 )
@@ -136,6 +139,41 @@ class TestRowFields:
         assert bne[D_TARGET] == 1
         assert not bne[D_MEM]
 
+    def test_local_store_rows(self):
+        b = ThreadBuilder("t")
+        b.slot("in"), b.slot("copy")
+        with b.block(BlockKind.PF):
+            b.li("w", 7)
+            b.storef("copy", "w")
+        with b.block(BlockKind.PL):
+            b.load("w", "in")
+        with b.block(BlockKind.EX):
+            b.li("base", 0x200)
+            b.lload("v", "base", 8)
+            b.lstore("base", 12, "v")
+            b.stop()
+        rows = decode_program(b.build()).rows
+        storef, load = rows[1:3]
+        lload, lstore = rows[4:6]
+        w, base, v = rows[0][D_RD], rows[3][D_RD], lload[D_RD]
+        for row, name in ((lload, "LLOAD"), (lstore, "LSTORE"),
+                          (load, "LOAD"), (storef, "STOREF")):
+            assert row[D_KIND] == K_LS
+            assert row[D_NAME] == name
+            assert row[D_MEM]
+            assert row[D_FN] is None
+            assert row[D_FF] == 0
+        # Operands pre-resolved to register indices; the raw immediate
+        # is the address offset (LLOAD/LSTORE) or frame slot (LOAD/STOREF).
+        assert (lload[D_AREG], lload[D_RD], lload[D_IMM]) == (base, v, 8)
+        assert (lstore[D_AREG], lstore[D_BREG], lstore[D_IMM]) == (
+            base, v, 12
+        )
+        assert (load[D_AREG], load[D_RD], load[D_IMM]) == (None, w, 0)
+        assert (storef[D_AREG], storef[D_IMM]) == (w, 1)
+        assert lload[D_HAZ] == (base, v)
+        assert lstore[D_HAZ] == (base, v)
+
     def test_stop_is_a_mem_slot_row(self):
         rows = decode_program(ex_program(lambda b: b.li("x", 1))).rows
         assert rows[-1][D_KIND] == K_STRUCT
@@ -155,7 +193,7 @@ class TestFastForwardRunLengths:
         # would dual-issue them, so its ff must be 0.
         assert [r[D_FF] for r in rows] == [3, 2, 1, 0, 0]
 
-    def test_branch_terminates_the_run(self):
+    def test_runs_count_a_trailing_branch(self):
         def body(b):
             b.li("x", 4)
             b.li("y", 0)
@@ -166,9 +204,28 @@ class TestFastForwardRunLengths:
 
         rows = decode_program(ex_program(body)).rows
         ffs = [r[D_FF] for r in rows]
-        # The two ALU ops before the branch may fast-forward (the branch
-        # occupies the ALU slot next cycle); the branch itself may not.
-        assert ffs == [4, 3, 2, 1, 0, 0]
+        # The branch occupies the ALU slot, so the run before it ends in
+        # it; the branch row itself has ff = 1 (where it goes is decided
+        # when it issues).  STOP follows: it is not part of any run.
+        assert ffs == [5, 4, 3, 2, 1, 0]
+
+    def test_branch_rows_have_ff_one_whatever_follows(self):
+        def body(b):
+            b.li("x", 1)
+            b.label("top")
+            b.beqz("x", "end")     # falls through to an ALU op
+            b.subi("x", "x", 1)
+            b.jmp("top")           # falls through to a MEM-slot op
+            b.label("end")
+            b.lstore("x", 0, "x")
+
+        rows = decode_program(ex_program(body)).rows
+        assert [r[D_KIND] for r in rows[:4]] == [
+            K_ALU, K_BRANCH, K_ALU, K_BRANCH
+        ]
+        # Each run stops at its branch: the ALU ops after a branch start
+        # runs of their own.
+        assert [r[D_FF] for r in rows] == [2, 1, 2, 1, 0, 0]
 
     def test_mem_slot_successor_zeroes_ff(self):
         def body(b):
