@@ -104,22 +104,41 @@ class TestRestoredEquivalence:
 HOST_TOTALS = ("engine_ticks", "engine_callbacks", "engine_stale_skipped")
 
 
+def _profile_entry(golden, name: str, config: MachineConfig) -> dict:
+    workload = builders("test")[name]()
+    result, profile = profile_workload(workload, config)
+    data = profile.to_dict()
+    host = {key: data["totals"].pop(key) for key in HOST_TOTALS}
+    return {
+        "cycles": result.cycles,
+        "stats": golden.digest(dataclasses.asdict(result.stats)),
+        "profile": golden.digest(data),
+        **host,
+    }
+
+
 class TestObservedEquivalence:
     """The profile (metrics rings, interval series, totals) of a run with
-    the metrics hub and interval tracer attached."""
+    the metrics hub and interval tracer attached.
+
+    Pinned at 8 SPEs and at 3: the per-SPU averages in a profile divide
+    by the SPE count, and ``x / 8 == x * 0.125`` exactly in binary
+    floating point while ``x / 3`` and ``x * (1 / 3)`` can differ in the
+    last bit, so only the 3-SPE entries see how an average is formed.
+    """
 
     @pytest.mark.parametrize("name", BENCHMARKS)
     def test_profiles_bit_identical(self, name, golden):
-        workload = builders("test")[name]()
-        result, profile = profile_workload(workload, MachineConfig())
-        data = profile.to_dict()
-        host = {key: data["totals"].pop(key) for key in HOST_TOTALS}
-        golden.check(f"{name}/profile", {
-            "cycles": result.cycles,
-            "stats": golden.digest(dataclasses.asdict(result.stats)),
-            "profile": golden.digest(data),
-            **host,
-        })
+        golden.check(
+            f"{name}/profile", _profile_entry(golden, name, MachineConfig())
+        )
+
+    @pytest.mark.parametrize("name", BENCHMARKS)
+    def test_profiles_at_3_spes_bit_identical(self, name, golden):
+        golden.check(
+            f"{name}/profile3",
+            _profile_entry(golden, name, MachineConfig().with_spes(3)),
+        )
 
 
 class TestInterpreterEquivalence:
