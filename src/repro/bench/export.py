@@ -44,8 +44,8 @@ def run_to_dict(run: RunResult, profile=None) -> dict:
     """Flatten one run into JSON-serializable primitives.
 
     When a :class:`repro.obs.profile.Profile` is given, its summary
-    (profiler-derived usage / breakdown / totals / counters) is embedded
-    under the ``"obs"`` key next to the stats-derived numbers.
+    (usage / breakdown / totals / hub counters) is embedded under the
+    ``"obs"`` key.
     """
     mix = run.stats.mix.table5_row()
     out = {

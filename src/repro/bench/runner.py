@@ -90,15 +90,20 @@ def run_workload(
     config: MachineConfig,
     prefetch: bool,
     options: PrefetchOptions | None = None,
-    max_cycles: int = 500_000_000,
+    max_cycles: int | None = 500_000_000,
     verify: bool = True,
     *,
+    observe: Callable[[Machine], None] | None = None,
     checkpoint_every: int | None = None,
     checkpoint_dir: str | None = None,
     checkpoint_path: str | None = None,
     restore_from: str | None = None,
 ) -> RunResult:
     """Run one variant of a workload, verifying outputs.
+
+    ``observe(machine)`` is called on the set-up machine just before it
+    runs: the place to attach a metrics hub or a tracer (profiling and
+    the timeline do).
 
     ``checkpoint_every=N`` snapshots the machine to ``checkpoint_path``
     every N cycles (see :mod:`repro.sim.snapshot`).  ``restore_from``
@@ -130,6 +135,8 @@ def run_workload(
         machine.load(activity)
     if checkpoint_dir is None and checkpoint_path is not None:
         checkpoint_dir = os.path.dirname(checkpoint_path) or "."
+    if observe is not None:
+        observe(machine)
     result = machine.run(
         max_cycles=max_cycles,
         checkpoint_every=checkpoint_every,

@@ -206,8 +206,7 @@ class SPU(Component):
     def _account(self, bucket: str, cycles: int, now: int) -> None:
         """Charge ``cycles`` to ``bucket``; the hub sees them at ``now``."""
         if cycles > 0:
-            # Callers pass Bucket names only: update the field directly,
-            # without TimeBreakdown.add's checks.
+            # Callers pass Bucket names only, so the field exists.
             self.stats.breakdown.__dict__[bucket] += cycles
             if self.thread is not None:
                 self.stats.template_cycles[self.thread.program.name] += cycles

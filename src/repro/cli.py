@@ -341,21 +341,15 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
 def cmd_timeline(args: argparse.Namespace) -> int:
     from repro.bench.timeline import render_timeline
-    from repro.cell.machine import Machine
     from repro.obs.trace import Tracer
 
     workload = _workload(args)
-    activity = workload.activity
-    if args.prefetch:
-        activity = prefetch_transform(
-            activity, PrefetchOptions(worthwhile_threshold=args.threshold)
-        )
-    machine = Machine(_config(args))
     tracer = Tracer()
-    machine.attach_tracer(tracer)
-    machine.load(activity)
-    result = machine.run()
-    workload.verify(machine)
+    result = run_workload(
+        workload, _config(args), prefetch=args.prefetch,
+        options=PrefetchOptions(worthwhile_threshold=args.threshold),
+        observe=lambda machine: machine.attach_tracer(tracer),
+    )
     label = "with prefetching" if args.prefetch else "original DTA"
     print(f"{workload.name} ({label}): {result.cycles} cycles")
     print(render_timeline(tracer, result.cycles, width=args.width))

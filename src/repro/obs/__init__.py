@@ -30,7 +30,6 @@ from repro.obs.profile import (
     Profile,
     dma_overlap_count,
     metrics_csv,
-    profile_activity,
     profile_workload,
 )
 from repro.obs.trace import (
@@ -63,7 +62,6 @@ __all__ = [
     "dma_overlap_count",
     "load_profile",
     "metrics_csv",
-    "profile_activity",
     "profile_workload",
     "render_diff",
     "to_perfetto",

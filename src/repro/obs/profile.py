@@ -1,18 +1,15 @@
 """The profiler: one call that runs a workload under full observability.
 
-:func:`profile_workload` (or :func:`profile_activity` for a raw
-activity) runs a machine with a :class:`~repro.obs.hub.MetricsHub`
-attached and a tracer streaming into an
-:class:`~repro.obs.intervals.IntervalSink`, and folds everything into a
-:class:`Profile`: the Figure 9 pipeline usage and Figure 5 cycle
-breakdown *derived from hub instruments alone*, the bounded metric
+:func:`profile_workload` is :func:`repro.bench.runner.run_workload`
+with a :class:`~repro.obs.hub.MetricsHub` and a tracer streaming into
+an :class:`~repro.obs.intervals.IntervalSink` attached, and folds the
+run into a :class:`Profile`: the Figure 9 pipeline usage and Figure 5
+cycle breakdown from the run's ``MachineStats``, the bounded metric
 timeseries, and the pipeline / DMA / bus intervals the Perfetto
 exporter turns into tracks.
 
-The profiler is observation-only — cycle counts are identical to an
-unprofiled run — and its usage/breakdown numbers reproduce
-``MachineStats`` exactly (idle is the unaccounted remainder, clamped at
-zero, same as ``Machine.collect_stats``).
+The profiler is observation-only: cycle counts and stats are identical
+to an unprofiled run.
 """
 
 from __future__ import annotations
@@ -30,13 +27,11 @@ from repro.obs.trace import JsonlSink, TeeSink, Tracer, TraceSink
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cell.machine import Machine, RunResult
     from repro.compiler.passes import PrefetchOptions
-    from repro.core.activity import TLPActivity
     from repro.sim.config import MachineConfig
     from repro.workloads.common import Workload
 
 __all__ = [
     "Profile",
-    "profile_activity",
     "profile_workload",
     "build_profile",
     "metrics_csv",
@@ -55,7 +50,7 @@ class Profile:
     prefetch: bool
     spes: int
     cycles: int
-    #: Figure 9 per-SPU usage, derived from hub issue counters.
+    #: Figure 9 per-SPU usage (``SpuStats.pipeline_usage``).
     pipeline_usage_per_spu: list[float]
     #: Average cycles per Figure 5 bucket (idle = unaccounted remainder).
     breakdown_cycles: dict[str, float]
@@ -128,38 +123,20 @@ def build_profile(
 ) -> Profile:
     """Assemble a :class:`Profile` from a finished observed run.
 
-    Usage and breakdown are computed from hub instruments only (never
-    from ``MachineStats``) so the profiler is an independent witness:
-    per SPU, the accounted buckets are the series totals, idle is
-    ``cycles - accounted`` clamped at zero (matching
-    ``Machine.collect_stats``) and usage is
-    ``issue_cycles / max(cycles, accounted)``.
+    Usage and breakdown are ``result.stats``'s own, the numbers every
+    figure, export and cache entry uses: per SPU, usage is
+    :attr:`~repro.sim.stats.SpuStats.pipeline_usage`, and each bucket of
+    the breakdown is summed over SPUs, then divided by their count.  The
+    hub contributes its time-bucketed series and the sink the intervals.
     """
     from repro.sim.stats import Bucket
 
-    cycles = result.cycles
-    num_spes = machine.config.num_spes
-    usage: list[float] = []
-    bucket_sums = {b: 0.0 for b in Bucket.ALL}
-    for i in range(num_spes):
-        accounted = 0
-        per_bucket: dict[str, int] = {}
-        for bucket in Bucket.ALL:
-            if bucket == Bucket.IDLE:
-                continue
-            total = hub.bucket_series(f"spu{i}.{bucket}").total
-            per_bucket[bucket] = total
-            accounted += total
-        per_bucket[Bucket.IDLE] = max(0, cycles - accounted)
-        total_cycles = max(cycles, accounted)
-        issue = hub.counter(f"spu{i}.issue_cycles").value
-        usage.append(issue / total_cycles if total_cycles else 0.0)
-        for bucket, value in per_bucket.items():
-            bucket_sums[bucket] += value
-    breakdown = {
-        b: (v / num_spes if num_spes else 0.0) for b, v in bucket_sums.items()
-    }
     stats = result.stats
+    num_spes = len(stats.spus)
+    breakdown = {
+        b: sum(getattr(s.breakdown, b) for s in stats.spus) / num_spes
+        for b in Bucket.ALL
+    }
     totals = {
         "threads": machine.threads_completed,
         "instructions": stats.mix.total,
@@ -177,44 +154,13 @@ def build_profile(
         activity=result.activity,
         prefetch=result.prefetch,
         spes=num_spes,
-        cycles=cycles,
-        pipeline_usage_per_spu=usage,
+        cycles=result.cycles,
+        pipeline_usage_per_spu=[s.pipeline_usage for s in stats.spus],
         breakdown_cycles=breakdown,
         totals=totals,
         metrics=hub.to_dict(),
         intervals=sink.to_dict(),
     )
-
-
-def profile_activity(
-    activity: "TLPActivity",
-    config: "MachineConfig | None" = None,
-    max_cycles: int | None = None,
-    hub_config: HubConfig | None = None,
-    trace_jsonl: "str | os.PathLike | IO[str] | None" = None,
-) -> "tuple[RunResult, Profile]":
-    """Run ``activity`` under the profiler; returns ``(result, profile)``.
-
-    ``trace_jsonl`` additionally streams the raw profiling events to a
-    JSONL file (path or open text file).
-    """
-    from repro.cell.machine import Machine
-    from repro.sim.config import MachineConfig
-
-    machine = Machine(config if config is not None else MachineConfig())
-    hub = MetricsHub(hub_config)
-    machine.attach_hub(hub)
-    interval_sink = IntervalSink()
-    sink: TraceSink = interval_sink
-    if trace_jsonl is not None:
-        sink = TeeSink([interval_sink, JsonlSink(trace_jsonl)])
-    tracer = Tracer(kinds=PROFILE_KINDS, sink=sink)
-    machine.attach_tracer(tracer)
-    machine.load(activity)
-    result = machine.run(max_cycles=max_cycles)
-    interval_sink.finish(max(1, result.cycles))
-    tracer.close()
-    return result, build_profile(result, machine, hub, interval_sink)
 
 
 def profile_workload(
@@ -229,39 +175,37 @@ def profile_workload(
 ) -> "tuple[RunResult, Profile]":
     """Profile one variant of a benchmark workload, verifying outputs.
 
-    The observability twin of :func:`repro.bench.runner.run_workload`:
-    same transformation, same oracle check, plus a :class:`Profile`.
+    :func:`repro.bench.runner.run_workload` with a metrics hub and a
+    profiling tracer attached through its ``observe`` hook; returns
+    ``(result, profile)``.  ``trace_jsonl`` additionally streams the raw
+    profiling events to a JSONL file (path or open text file), which is
+    flushed and closed even when the run raises.
     """
-    from repro.compiler.passes import prefetch_transform
-    from repro.workloads.common import check_outputs
-
-    activity = workload.activity
-    if prefetch:
-        activity = prefetch_transform(activity, options)
-    from repro.cell.machine import Machine
+    from repro.bench.runner import run_workload
     from repro.sim.config import MachineConfig
 
-    machine = Machine(config if config is not None else MachineConfig())
     hub = MetricsHub(hub_config)
-    machine.attach_hub(hub)
     interval_sink = IntervalSink()
     sink: TraceSink = interval_sink
     if trace_jsonl is not None:
         sink = TeeSink([interval_sink, JsonlSink(trace_jsonl)])
     tracer = Tracer(kinds=PROFILE_KINDS, sink=sink)
-    machine.attach_tracer(tracer)
-    machine.load(activity)
-    result = machine.run(max_cycles=max_cycles)
+    observed: list["Machine"] = []
+
+    def observe(machine: "Machine") -> None:
+        machine.attach_hub(hub)
+        machine.attach_tracer(tracer)
+        observed.append(machine)
+
+    try:
+        result = run_workload(
+            workload, config if config is not None else MachineConfig(),
+            prefetch, options, max_cycles, verify, observe=observe,
+        )
+    finally:
+        tracer.close()
     interval_sink.finish(max(1, result.cycles))
-    tracer.close()
-    if verify:
-        errors = check_outputs(workload, machine)
-        if errors:
-            raise AssertionError(
-                f"{workload.name} ({'PF' if prefetch else 'base'}): wrong "
-                f"output:\n" + "\n".join(errors[:10])
-            )
-    return result, build_profile(result, machine, hub, interval_sink)
+    return result, build_profile(result, observed[0], hub, interval_sink)
 
 
 def metrics_csv(profile: Profile) -> str:

@@ -88,13 +88,6 @@ class TimeBreakdown:
         """Raw cycles per bucket, keyed by bucket name (for exports)."""
         return {b: getattr(self, b) for b in Bucket.ALL}
 
-    def add(self, bucket: str, cycles: float) -> None:
-        if bucket not in Bucket.ALL:
-            raise KeyError(f"unknown bucket {bucket!r}")
-        if cycles < 0:
-            raise ValueError(f"cannot add negative cycles ({cycles}) to {bucket}")
-        setattr(self, bucket, getattr(self, bucket) + cycles)
-
     def __add__(self, other: "TimeBreakdown") -> "TimeBreakdown":
         return TimeBreakdown(
             **{b: getattr(self, b) + getattr(other, b) for b in Bucket.ALL}
@@ -128,9 +121,6 @@ class InstructionMix:
     #: Local-store loads of prefetched data count as LOADs (the compiler
     #: literally rewrites READ into LOAD); kept separately for analysis.
     prefetched_loads: int = 0
-
-    def record(self, mnemonic: str, count: int = 1) -> None:
-        self.by_opcode[mnemonic] += count
 
     @property
     def total(self) -> int:

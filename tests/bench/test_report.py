@@ -29,8 +29,7 @@ class TestFormatTable:
 def fake_run(**opcounts) -> RunResult:
     stats = MachineStats()
     spu = SpuStats()
-    for op, n in opcounts.items():
-        spu.mix.record(op, n)
+    spu.mix.by_opcode.update(opcounts)
     stats.spus.append(spu)
     return RunResult(
         activity="fake",
