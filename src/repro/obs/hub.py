@@ -11,8 +11,7 @@ Memory is bounded by construction: every timeseries is a ring of at
 most ``max_buckets`` buckets of ``bucket_cycles`` cycles each.  When a
 run outlives the ring, the oldest buckets are evicted (counted in
 ``dropped_buckets``) while the scalar running totals keep the full-run
-truth — so pipeline-usage numbers derived from a hub are exact even
-when the timeseries window has wrapped.
+truth, even when the timeseries window has wrapped.
 
 A :class:`MetricsSampler` is an observation-only
 :class:`~repro.sim.component.Component` (modelled on the progress
