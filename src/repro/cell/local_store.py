@@ -86,6 +86,10 @@ class LocalStore:
             }
         return True
 
+    def ports_booked(self, cycle: int) -> int:
+        """Ports already reserved for ``cycle``."""
+        return self._ports_used.get(cycle, 0)
+
     def next_free_port_cycle(self, cycle: int) -> int:
         """First cycle >= ``cycle`` with a free port."""
         c = cycle

@@ -22,13 +22,11 @@ tuples — one row per flat instruction — holding:
   :func:`~repro.isa.semantics.alu_result` /
   :func:`~repro.isa.semantics.branch_taken` so they cannot drift),
 * the scoreboard-checked register set and the result latency,
-* ``ff``: the **fast-forward run length** starting at this pc — the
-  number of consecutive instructions the SPU may retire one per cycle
-  inside a single tick with the per-cycle loop's timing, stats and
-  metrics-hub credits, observed or not.  A branch row has ``ff = 1`` and
-  an ALU run's ``ff`` counts a trailing branch: the window evaluates the
-  branch and follows it (see ``SPU._fast_forward`` and
-  ``docs/PERFORMANCE.md``).
+* ``solo``: True for an ALU or branch row whose next row needs the ALU
+  slot too, so the row never shares its cycle with another.  The SPU
+  issue loop (``SPU._issue_cycle``) retires such rows on its tight path
+  and looks past the others for the MEM-slot op they may pair with
+  (``docs/PERFORMANCE.md``).
 
 Rows are plain tuples indexed by the ``D_*`` constants (attribute access
 is what we are deleting from the hot path).  The decoded table attaches
@@ -57,7 +55,7 @@ __all__ = [
     "decode_program",
     # row field indices
     "D_KIND", "D_AREG", "D_AVAL", "D_BREG", "D_BVAL", "D_RD", "D_TARGET",
-    "D_LAT", "D_HAZ", "D_FN", "D_NAME", "D_MEM", "D_FF", "D_IMM",
+    "D_LAT", "D_HAZ", "D_FN", "D_NAME", "D_MEM", "D_SOLO", "D_IMM",
     # dispatch kinds
     "K_ALU", "K_BRANCH", "K_LS", "K_STRUCT",
 ]
@@ -78,7 +76,7 @@ D_HAZ = 8     #: tuple of scoreboard-checked register indices, in ra,rb,rd order
 D_FN = 9      #: value function (ALU result / branch predicate), or None (NOP)
 D_NAME = 10   #: op mnemonic (InstructionMix.by_opcode key)
 D_MEM = 11    #: True when the op occupies the MEM issue slot
-D_FF = 12     #: fast-forward run length starting at this pc (0 = ineligible)
+D_SOLO = 12   #: ALU/branch row whose next row needs the ALU slot too
 D_IMM = 13    #: the instruction's raw immediate, or None
 
 # -- dispatch kinds -----------------------------------------------------------
@@ -179,7 +177,6 @@ def _operand(operand: "Reg | Imm | None") -> tuple[int | None, int]:
 def decode_program(program: "ThreadProgram") -> DecodedProgram:
     """Build the :class:`DecodedProgram` for ``program``."""
     flat = program.flat
-    n = len(flat)
     partial: list[list] = []
     for instr in flat:
         op = instr.op
@@ -219,33 +216,14 @@ def decode_program(program: "ThreadProgram") -> DecodedProgram:
             fn,
             op.value,
             spec.slot is Slot.MEM,
-            1 if kind == K_BRANCH else 0,  # D_FF; ALU rows filled below
+            False,  # D_SOLO, filled below
             instr.imm,
         ])
 
-    # Fast-forward run lengths.  ff[i] = the number of instructions,
-    # starting at i, the SPU may retire at one per cycle inside a single
-    # tick with timing identical to the per-cycle path.  Requirements,
-    # derived from the dual-issue rules in SPU._issue_cycle:
-    #   * instruction i is an ALU op (register-only effects, single ALU
-    #     slot, scoreboard handled by the fast loop itself) or a branch
-    #     (ff = 1: the window evaluates it from the registers, and where
-    #     it goes next is decided there, not here);
-    #   * for an ALU op, instruction i+1 occupies the ALU slot too.  If
-    #     it were a MEM-slot op, the per-cycle path would dual-issue it
-    #     *in the same cycle* as instruction i, so i must be left to the
-    #     per-cycle loop.  An ALU/branch successor ends the cycle after
-    #     one issue (alu_used) — exactly what the fast loop models — and
-    #     its own ff extends the run.
-    # The final instruction is always STOP (MEM slot), so i+1 exists for
-    # every ALU or branch instruction.
-    for i in range(n - 2, -1, -1):
-        row = partial[i]
-        if row[D_KIND] != K_ALU:
-            continue
-        nxt = partial[i + 1]
-        if nxt[D_MEM]:
-            continue  # would dual-issue with i: not fast-forwardable
-        row[D_FF] = 1 + nxt[D_FF]
+    # A valid program ends with STOP (a MEM-slot row), so every ALU and
+    # branch row has a next row.
+    for row, nxt in zip(partial, partial[1:]):
+        if row[D_KIND] in (K_ALU, K_BRANCH):
+            row[D_SOLO] = not nxt[D_MEM]
 
     return DecodedProgram(tuple(tuple(row) for row in partial))

@@ -119,9 +119,9 @@ class Engine:
         # Entries are (cycle, priority, order, seq, target).  ``order`` is
         # the component's registration index (0 for callbacks), so ticks
         # that tie on (cycle, priority) dispatch in *registration* order —
-        # never in push order.  This matters for correctness, not style: a
-        # fast-forwarding SPU schedules its window-end tick many cycles
-        # early, and a push-order tie-break would let that early push jump
+        # never in push order.  This matters for correctness, not style: an
+        # SPU that runs ahead schedules its next tick many cycles early,
+        # and a push-order tie-break would let that early push jump
         # ahead of peer SPUs within the cycle, reordering shared-resource
         # arbitration versus the cycle-by-cycle path.  ``seq`` only
         # disambiguates a live entry from its own stale duplicates (and

@@ -3,7 +3,7 @@
 The hard correctness bar: run-to-completion equals run-to-checkpoint +
 restore + continue, for **stats, workload outputs and profiles**, across
 benchmarks, fault seeds and observability configurations — including
-checkpoints landed at adversarial cycles (mid fast-forward window, mid
+checkpoints landed at adversarial cycles (mid SPU run-ahead, mid
 DMA retry backoff, mid bus delivery with a pending injected duplicate)
 and restores performed in a fresh process.
 """
@@ -174,17 +174,24 @@ def _adversarial_roundtrip(wl, cfg, tmp_path, predicate, describe,
     return Machine.load_checkpoint(str(path))
 
 
-def _mid_fast_forward(m):
-    """Some SPU is inside a fast-forward window: RUNNING, its next tick
-    further ahead than a taken branch's penalty could put it."""
+def _mid_run_ahead(m):
+    """Some SPU is running ahead of the engine through Local Store ops:
+    RUNNING, its next tick further ahead than a taken branch's penalty
+    could put it, its SPE's MFC idle, and its Local Store holding a port
+    booking for a cycle past the engine's and before that tick."""
     now = m.engine.now
-    return any(
-        spe.spu._state is _State.RUNNING
-        and spe.spu._scheduled_at is not None
-        and spe.spu._scheduled_at
-        > now + 1 + spe.spu.config.branch_taken_penalty
-        for spe in m.spes
-    )
+    for spe in m.spes:
+        spu = spe.spu
+        ahead = spu._scheduled_at
+        if (
+            spu._state is _State.RUNNING
+            and ahead is not None
+            and ahead > now + 1 + spu.config.branch_taken_penalty
+            and not spe.mfc.outstanding_commands
+            and any(now < c < ahead for c in spe.ls._ports_used)
+        ):
+            return True
+    return False
 
 
 class TestAdversarialCycles:
@@ -248,28 +255,29 @@ class TestAdversarialCycles:
         assert faults.frame_scrubs + faults.thread_reexecs > 0
 
     def test_mid_fast_forward_window(self, tmp_path):
-        # A fast-forwarding SPU parks its tick far in the future.  A
-        # checkpoint inside that window must restore the decoded-program
-        # cache (not serialized; rebuilt in restore_state) and re-enter
-        # the window bit-identically.
+        # An SPU running ahead parks its tick far in the future, with
+        # Local Store ports booked for cycles the engine has not reached.
+        # A checkpoint there must carry those bookings, restore the
+        # decoded-program cache (not serialized; rebuilt in
+        # restore_state) and resume bit-identically.
         wl = builders("test")["mmul"]()
         cfg = small_config(2)
         machine = _adversarial_roundtrip(
-            wl, cfg, tmp_path, _mid_fast_forward, "a fast-forward window",
+            wl, cfg, tmp_path, _mid_run_ahead, "a run-ahead past LS ops",
         )
         for spe in machine.spes:
             if spe.spu.thread is not None:
                 assert spe.spu._dec is not None  # rebuilt, not pickled
 
     def test_mid_fast_forward_window_under_hub(self, tmp_path):
-        # Windows stay on under the metrics hub and credit its series
+        # Run-ahead stays on under the metrics hub and credits its series
         # for cycles the engine has not reached yet.  A checkpoint inside
-        # a window must carry those credits: the restored run's hub dump
+        # one must carry those credits: the restored run's hub dump
         # equals the uninterrupted one.
         wl = builders("test")["mmul"]()
         cfg = small_config(2)
         machine = _adversarial_roundtrip(
-            wl, cfg, tmp_path, _mid_fast_forward, "a fast-forward window",
+            wl, cfg, tmp_path, _mid_run_ahead, "a run-ahead past LS ops",
             hub=True,
         )
         assert machine.hub is not None

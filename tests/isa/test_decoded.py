@@ -3,7 +3,7 @@
 The SPU issue loop (``SPU._issue_cycle``) trusts
 :mod:`repro.isa.decoded` completely, so this suite pins the decoded
 closures to the canonical semantics in :mod:`repro.isa.semantics` over a
-value grid, and checks the row fields and fast-forward run lengths
+value grid, and checks the row fields, the ``solo`` flag included,
 against first principles.
 """
 
@@ -19,7 +19,6 @@ from repro.isa.decoded import (
     D_AVAL,
     D_BREG,
     D_BVAL,
-    D_FF,
     D_FN,
     D_HAZ,
     D_IMM,
@@ -28,6 +27,7 @@ from repro.isa.decoded import (
     D_MEM,
     D_NAME,
     D_RD,
+    D_SOLO,
     D_TARGET,
     K_ALU,
     K_BRANCH,
@@ -162,7 +162,7 @@ class TestRowFields:
             assert row[D_NAME] == name
             assert row[D_MEM]
             assert row[D_FN] is None
-            assert row[D_FF] == 0
+            assert not row[D_SOLO]
         # Operands pre-resolved to register indices; the raw immediate
         # is the address offset (LLOAD/LSTORE) or frame slot (LOAD/STOREF).
         assert (lload[D_AREG], lload[D_RD], lload[D_IMM]) == (base, v, 8)
@@ -179,9 +179,18 @@ class TestRowFields:
         assert rows[-1][D_KIND] == K_STRUCT
         assert rows[-1][D_MEM]
 
+    def test_decode_is_cached_per_program(self):
+        prog = ex_program(lambda b: b.li("x", 1))
+        assert prog.decoded is prog.decoded
 
-class TestFastForwardRunLengths:
-    def test_straight_alu_run_counts_down_to_the_stop(self):
+
+class TestSoloRows:
+    """``D_SOLO``: an ALU or branch row whose next row needs the ALU slot
+    too never shares its cycle.  The issue loop retires such rows on its
+    tight path, and looks past any other ALU or branch row for the
+    MEM-slot op it may pair with."""
+
+    def test_straight_alu_run_is_solo_until_the_stop(self):
         def body(b):
             b.li("a", 1)
             b.li("b", 2)
@@ -189,11 +198,11 @@ class TestFastForwardRunLengths:
             b.add("d", "c", "c")
 
         rows = decode_program(ex_program(body)).rows
-        # The last ALU op precedes STOP (MEM slot): the per-cycle path
-        # would dual-issue them, so its ff must be 0.
-        assert [r[D_FF] for r in rows] == [3, 2, 1, 0, 0]
+        # The last ALU op precedes STOP (MEM slot): the two may share a
+        # cycle.  STOP is a MEM-slot row, never solo.
+        assert [r[D_SOLO] for r in rows] == [True, True, True, False, False]
 
-    def test_runs_count_a_trailing_branch(self):
+    def test_loop_body_and_back_edge_are_solo(self):
         def body(b):
             b.li("x", 4)
             b.li("y", 0)
@@ -203,13 +212,14 @@ class TestFastForwardRunLengths:
             b.bnez("x", "top")
 
         rows = decode_program(ex_program(body)).rows
-        ffs = [r[D_FF] for r in rows]
-        # The branch occupies the ALU slot, so the run before it ends in
-        # it; the branch row itself has ff = 1 (where it goes is decided
-        # when it issues).  STOP follows: it is not part of any run.
-        assert ffs == [5, 4, 3, 2, 1, 0]
+        # The back-edge occupies the ALU slot, so the op before it is
+        # solo; the back-edge itself precedes STOP, which it issues with
+        # when it falls through.
+        assert [r[D_SOLO] for r in rows] == [
+            True, True, True, True, False, False
+        ]
 
-    def test_branch_rows_have_ff_one_whatever_follows(self):
+    def test_branch_row_follows_its_successor_slot(self):
         def body(b):
             b.li("x", 1)
             b.label("top")
@@ -223,23 +233,23 @@ class TestFastForwardRunLengths:
         assert [r[D_KIND] for r in rows[:4]] == [
             K_ALU, K_BRANCH, K_ALU, K_BRANCH
         ]
-        # Each run stops at its branch: the ALU ops after a branch start
-        # runs of their own.
-        assert [r[D_FF] for r in rows] == [2, 1, 2, 1, 0, 0]
+        assert [r[D_SOLO] for r in rows] == [
+            True, True, True, False, False, False
+        ]
 
-    def test_mem_slot_successor_zeroes_ff(self):
+    def test_mem_slot_successor_pairs(self):
         def body(b):
             b.li("x", 9)
             b.lstore("x", 0, "x")
             b.addi("x", "x", 1)
 
         rows = decode_program(ex_program(body)).rows
-        ffs = [r[D_FF] for r in rows]
-        # li precedes LSTORE (MEM): dual-issue candidate, ff = 0.
-        # addi precedes STOP (MEM): same.  LSTORE is not ALU: ff = 0.
-        assert ffs == [0, 0, 0, 0]
+        # li precedes LSTORE and addi precedes STOP: each may share its
+        # cycle with the MEM-slot op after it.  Only ALU and branch rows
+        # can be solo.
+        assert [r[D_SOLO] for r in rows] == [False, False, False, False]
 
-    def test_nops_participate_in_runs(self):
+    def test_nops_are_alu_slot_rows(self):
         def body(b):
             b.li("x", 1)
             b.nop()
@@ -247,8 +257,4 @@ class TestFastForwardRunLengths:
             b.addi("x", "x", 1)
 
         rows = decode_program(ex_program(body)).rows
-        assert [r[D_FF] for r in rows] == [3, 2, 1, 0, 0]
-
-    def test_decode_is_cached_per_program(self):
-        prog = ex_program(lambda b: b.li("x", 1))
-        assert prog.decoded is prog.decoded
+        assert [r[D_SOLO] for r in rows] == [True, True, True, False, False]

@@ -3,6 +3,7 @@ enabled == timing-neutral and the same engine work plus the sampler's."""
 
 from __future__ import annotations
 
+import gc
 import sys
 from collections import Counter
 
@@ -32,7 +33,13 @@ def run_bitcnt(hub=None, tracer=None):
 
 
 def count_calls(hub=None) -> Counter:
-    """Python function calls made by ``machine.run()``, per code object."""
+    """Python function calls made by ``machine.run()``, per code object.
+
+    The cyclic garbage collector is emptied first and kept off during
+    the count: a collection inside the run would add the finalizers of
+    unrelated garbage (suspended generators left by other tests, for
+    example) to the count.
+    """
     machine = load_bitcnt(hub)
     calls: Counter = Counter()
 
@@ -40,12 +47,15 @@ def count_calls(hub=None) -> Counter:
         if event == "call":
             calls[frame.f_code] += 1
 
+    gc.collect()
+    gc.disable()
     outer = sys.getprofile()
     sys.setprofile(profiler)
     try:
         machine.run()
     finally:
         sys.setprofile(outer)
+        gc.enable()
     return calls
 
 
@@ -92,7 +102,7 @@ class TestEnabledHubIsTimingNeutral:
         )
 
     def test_observed_run_does_the_plain_runs_engine_work(self):
-        # SPU fast-forward stays on under the hub and the profiling
+        # SPU run-ahead stays on under the hub and the profiling
         # tracer, so an observed run dispatches exactly the plain run's
         # engine ticks plus the sampler's own.
         plain_machine, plain = run_bitcnt()

@@ -184,7 +184,7 @@ class TestOrdering:
     def test_same_priority_ties_follow_registration_order(self):
         # Ties on (cycle, priority) break by registration index, NOT push
         # order: a component that scheduled its tick far in advance (e.g.
-        # an SPU fast-forwarding to its window end) must not jump ahead
+        # an SPU that ran ahead of the engine) must not jump ahead
         # of a peer that scheduled the same cycle later.
         order: list[str] = []
 
