@@ -115,7 +115,14 @@ def result_key(
     options: PrefetchOptions | None = None,
     max_cycles: int = 500_000_000,
 ) -> str:
-    """Deterministic cache key for one :func:`~repro.bench.runner.run_workload`."""
+    """Deterministic cache key for one :func:`~repro.bench.runner.run_workload`.
+
+    A prefetch run keys on the options it runs with, so ``options=None``
+    and ``PrefetchOptions()`` give one key; a base run uses no options
+    and its key ignores them.
+    """
+    if prefetch:
+        options = options or PrefetchOptions()
     ident = {
         "code": code_stamp(),
         "workload": workload.name,
@@ -123,7 +130,7 @@ def result_key(
         "activity": _activity_digest(workload),
         "config": dataclasses.asdict(config),
         "prefetch": prefetch,
-        "options": dataclasses.asdict(options) if options is not None else None,
+        "options": dataclasses.asdict(options) if prefetch else None,
         "max_cycles": max_cycles,
     }
     blob = json.dumps(ident, sort_keys=True, default=repr).encode()

@@ -5,11 +5,13 @@ Every request body is a JSON object::
     {"v": 1, "kind": "sweep", "client": "alice", "priority": 5,
      "params": {"benchmark": "mmul", "spes": [1, 2, 4, 8]}}
 
-Validation is **strict and eager** (the ``_validate_faults`` discipline
-of the CLI): unknown keys, wrong types, out-of-range values and typo'd
-fault specs all raise :class:`ProtocolError` *before* a job is admitted
-— a bad request must be rejected at the front door, never discovered
-inside a worker process.
+Validation is **strict and eager**: unknown keys, wrong types,
+out-of-range values and typo'd fault specs all raise
+:class:`ProtocolError` *before* a job is admitted — a bad request must
+be rejected at the front door, never discovered inside a worker process.
+A valid request becomes a :class:`~repro.bench.job.JobSpec`, the job
+description the CLI builds from its flags too; :func:`build_tasks` turns
+either into the same run tasks.
 
 Result payloads embed :data:`SCHEMA_VERSION` — the same constant
 :func:`repro.bench.export.run_to_dict` stamps into every export — so a
@@ -21,12 +23,13 @@ incompatible change (see docs/SERVING.md for the bump-on-change rule).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.bench.export import SCHEMA_VERSION
-from repro.bench.parallel import RunTask, pair_tasks
+from repro.bench.job import JobSpec, build_tasks
+from repro.bench.parallel import RunTask
 from repro.bench.scale import SCALES, builders, current_scale
-from repro.sim.config import MachineConfig, paper_config
+from repro.faults import FaultPlanError
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -70,46 +73,6 @@ _PARAM_KEYS = {
 
 class ProtocolError(ValueError):
     """A request violated the schema; maps to HTTP 400."""
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """A validated, canonical description of one job's work."""
-
-    kind: str
-    benchmark: str
-    scale: str
-    spes: "tuple[int, ...]"
-    prefetch: bool = True
-    latency: "int | None" = None
-    faults: "str | None" = None
-    sanitize: bool = False
-    threshold: float = 0.5
-    bucket_cycles: "int | None" = None
-
-    @property
-    def label(self) -> str:
-        axis = ",".join(str(n) for n in self.spes)
-        return f"{self.kind} {self.benchmark} spes={axis}"
-
-    def to_dict(self) -> dict:
-        """The ``params`` object that re-parses to this spec."""
-        out: dict = {
-            "benchmark": self.benchmark,
-            "scale": self.scale,
-            "latency": self.latency,
-            "faults": self.faults,
-            "sanitize": self.sanitize,
-            "threshold": self.threshold,
-        }
-        if self.kind == "sweep":
-            out["spes"] = list(self.spes)
-        else:
-            out["spes"] = self.spes[0]
-            out["prefetch"] = self.prefetch
-        if self.kind == "profile":
-            out["bucket_cycles"] = self.bucket_cycles
-        return out
 
 
 @dataclass(frozen=True)
@@ -181,22 +144,6 @@ def _parse_spes(params: dict, kind: str) -> "tuple[int, ...]":
             raise _fail(f"params.spes repeats {n}")
         spes.append(n)
     return tuple(spes)
-
-
-def _parse_faults(params: dict) -> "str | None":
-    spec = params.get("faults")
-    if spec is None:
-        return None
-    if not isinstance(spec, str):
-        raise _fail(f"params.faults must be a string spec, got {spec!r}")
-    from repro.faults import FaultPlanError
-    from repro.faults.plan import FaultPlan
-
-    try:
-        FaultPlan.parse(spec)
-    except FaultPlanError as exc:
-        raise _fail(f"params.faults: {exc}")
-    return spec
 
 
 def parse_request(payload: object) -> JobRequest:
@@ -271,58 +218,27 @@ def parse_request(payload: object) -> JobRequest:
     if not 0.0 <= threshold <= 1.0:
         raise _fail(f"params.threshold must be in [0, 1], got {threshold}")
 
-    spec = JobSpec(
-        kind=kind,
-        benchmark=benchmark,
-        scale=scale,
-        spes=_parse_spes(params, kind),
-        prefetch=_require_bool(params, "prefetch", True),
-        latency=_require_int(params, "latency", 1, 1_000_000, None),
-        faults=_parse_faults(params),
-        sanitize=_require_bool(params, "sanitize", False),
-        threshold=float(threshold),
-        bucket_cycles=_require_int(params, "bucket_cycles", 1, 2**31, None),
-    )
-    return JobRequest(spec=spec, client=client, priority=priority)
+    faults = params.get("faults")
+    if faults is not None and not isinstance(faults, str):
+        raise _fail(f"params.faults must be a string spec, got {faults!r}")
 
-
-def _config_for(spec: JobSpec, spes: int) -> MachineConfig:
-    cfg = paper_config(spes)
-    if spec.latency is not None:
-        cfg = cfg.with_latency(spec.latency)
-    if spec.faults:
-        cfg = cfg.with_faults(spec.faults)
-    if spec.sanitize:
-        cfg = cfg.replace(sanitize=True)
-    return cfg
-
-
-def build_tasks(spec: JobSpec) -> "list[RunTask]":
-    """The :class:`RunTask` list a spec's simulation work decomposes into.
-
-    ``run``/``profile`` map to one task, ``sweep`` to a (base, prefetch)
-    pair per SPE count — exactly the tasks :func:`repro.bench.runner.sweep`
-    would submit, so results (and cache entries) are shared with the CLI.
-    """
-    from repro.compiler.passes import PrefetchOptions
-
-    workload = builders(spec.scale)[spec.benchmark]()
-    options = PrefetchOptions(worthwhile_threshold=spec.threshold)
-    tasks: "list[RunTask]" = []
-    if spec.kind == "sweep":
-        for n in spec.spes:
-            tasks.extend(
-                pair_tasks(workload, _config_for(spec, n), options=options)
-            )
-    else:
-        tasks.append(
-            RunTask(
-                workload, _config_for(spec, spec.spes[0]),
-                prefetch=spec.prefetch,
-                options=options if spec.prefetch else None,
-            )
+    try:
+        spec = JobSpec(
+            kind=kind,
+            benchmark=benchmark,
+            scale=scale,
+            spes=_parse_spes(params, kind),
+            prefetch=_require_bool(params, "prefetch", True),
+            latency=_require_int(params, "latency", 1, 1_000_000, None),
+            faults=faults,
+            sanitize=_require_bool(params, "sanitize", False),
+            threshold=float(threshold),
+            bucket_cycles=_require_int(params, "bucket_cycles", 1, 2**31,
+                                       None),
         )
-    return tasks
+    except FaultPlanError as exc:
+        raise _fail(f"params.faults: {exc}")
+    return JobRequest(spec=spec, client=client, priority=priority)
 
 
 def job_key(spec: JobSpec, tasks: "list[RunTask]") -> str:

@@ -432,25 +432,9 @@ class JobScheduler:
         """Profile jobs run under the observability hub (not cached —
         profiles carry bounded timeseries, not just a RunResult)."""
         from repro.bench.export import run_to_dict
-        from repro.compiler.passes import PrefetchOptions
-        from repro.bench.scale import builders
-        from repro.obs.hub import HubConfig
-        from repro.obs.profile import profile_workload
-        from repro.serve.protocol import _config_for
+        from repro.bench.job import profile_job
 
-        workload = builders(spec.scale)[spec.benchmark]()
-        hub_config = (
-            HubConfig(bucket_cycles=spec.bucket_cycles,
-                      sample_interval=spec.bucket_cycles)
-            if spec.bucket_cycles else None
-        )
-        result, profile = profile_workload(
-            workload,
-            _config_for(spec, spec.spes[0]),
-            prefetch=spec.prefetch,
-            options=PrefetchOptions(worthwhile_threshold=spec.threshold),
-            hub_config=hub_config,
-        )
+        result, profile = profile_job(spec)
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "profile",
@@ -460,7 +444,7 @@ class JobScheduler:
 
     def _payload(self, spec: JobSpec, tasks, results) -> dict:
         from repro.bench.export import run_to_dict, scaling_to_dict
-        from repro.bench.runner import PairResult, ScalingResult
+        from repro.bench.runner import ScalingResult, pair_results
 
         if spec.kind == "run":
             return {
@@ -468,15 +452,10 @@ class JobScheduler:
                 "kind": "run",
                 "run": run_to_dict(results[0]),
             }
-        name = tasks[0].workload.name
-        scaling = ScalingResult(workload=name)
-        for i, n in enumerate(spec.spes):
-            scaling.pairs[n] = PairResult(
-                workload=name,
-                config=tasks[2 * i].config,
-                base=results[2 * i],
-                prefetch=results[2 * i + 1],
-            )
+        scaling = ScalingResult(
+            workload=tasks[0].workload.name,
+            pairs=dict(zip(spec.spes, pair_results(tasks, results))),
+        )
         out = scaling_to_dict(scaling)
         out["schema_version"] = SCHEMA_VERSION
         out["kind"] = "sweep"

@@ -59,7 +59,7 @@ class TestScalingExport:
         assert d["scalability"]["base"]["2"] > 1.0
 
     def test_csv_has_row_per_point_and_variant(self, scaling):
-        text = scaling_to_csv(scaling)
+        text = scaling_to_csv(scaling_to_dict(scaling))
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0][0] == "workload"
         assert len(rows) == 1 + 2 * 2  # header + 2 SPE points x 2 variants
