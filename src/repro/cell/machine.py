@@ -47,10 +47,6 @@ class RunResult:
     #: True when the activity used prefetching (any template had a PF block).
     prefetch: bool
 
-    @property
-    def speedup_base(self) -> float:
-        return float(self.cycles)
-
 
 class Machine:
     """A complete CellDTA chip plus main memory."""

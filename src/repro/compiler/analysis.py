@@ -77,13 +77,6 @@ class Region:
     def is_strided(self) -> bool:
         return self.stride_bytes > 4
 
-    @property
-    def span_bytes(self) -> int:
-        """Main-memory footprint (>= size_bytes for strided regions)."""
-        if not self.is_strided:
-            return self.size_bytes
-        return (self.size_bytes // 4) * self.stride_bytes
-
 
 @dataclass
 class AccessAnalysis:

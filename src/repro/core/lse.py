@@ -119,6 +119,7 @@ class LSE(Component):
         self._thread_by_frame: dict[int, ThreadInstance] = {}  # frame addr -> thr
         self._virtual: dict[int, ThreadInstance] = {}  # virtual addr -> thread
         self._virtual_stores: dict[int, dict[int, int]] = {}  # vaddr -> pending
+        self._virtual_redirect: dict[int, int] = {}  # bound vaddr -> frame
         self._next_virtual = VIRTUAL_BASE
         self._ready: deque[ThreadInstance] = deque()
         self._pending_allocs: deque[_PendingAlloc] = deque()
@@ -138,7 +139,6 @@ class LSE(Component):
         self._endpoint = None
         self._machine: "Machine | None" = None
         self._falloc_seq = 0
-        self._pending_falloc_rd: dict[int, None] = {}
         self._sanitizer = None  # optional Sanitizer
         self._injector = None  # optional FaultInjector
         # Data-fault recovery state: LS word address -> ECC-corrected
@@ -745,11 +745,10 @@ class LSE(Component):
                 f"{self.name}: store for PE {pe} delivered to PE {self.spe_id}"
             )
         if addr >= VIRTUAL_BASE:
-            redirect = getattr(self, "_virtual_redirect", {})
-            if addr in redirect:
+            if addr in self._virtual_redirect:
                 # The virtual frame was bound meanwhile; route to the
                 # physical frame it became.
-                addr = redirect[addr]
+                addr = self._virtual_redirect[addr]
             else:
                 thread = self._virtual.get(addr)
                 if thread is None:
@@ -888,7 +887,6 @@ class LSE(Component):
         thread.transition(ThreadState.WAIT_STORES)
         # Re-point the handle: stores already in flight carry the virtual
         # address, so keep routing it.
-        self._virtual_redirect = getattr(self, "_virtual_redirect", {})
         self._virtual_redirect[vaddr] = frame.addr
         for slot, value in pending.items():
             self.ls.write_word(frame.addr + 4 * slot, value)

@@ -7,10 +7,11 @@ writing into frames of threads on other PEs.  On CellDTA these ride the
 element interconnect bus, so every message declares its size in bytes for
 bus timing.
 
-The reproduction adds two bookkeeping messages that a hardware
+The reproduction adds one bookkeeping message that a hardware
 implementation would fold into the same wires: ``FrameFreed`` (LSE -> DSE
-load accounting) and ``DmaComplete`` (MFC -> local LSE; never crosses the
-bus because MFC and LSE sit in the same SPE).
+load accounting).  DMA completion needs no message: MFC and LSE sit in the
+same SPE, so the MFC calls :meth:`LSE.dma_command_done
+<repro.core.lse.LSE.dma_command_done>` directly.
 
 Messages are allocated on the simulator's hot path (one per store, per
 bus flit, per DMA chunk), so every class uses ``slots=True``.

@@ -13,7 +13,6 @@ logical shift, as the bit-counting kernels require).
 
 from __future__ import annotations
 
-from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Op
 
 __all__ = ["wrap64", "to_unsigned64", "alu_result", "branch_taken", "ArithmeticFault"]
@@ -102,12 +101,3 @@ def branch_taken(op: Op, a: int, b: int = 0) -> bool:
     if op is Op.JMP:
         return True
     raise ValueError(f"{op.value} is not a branch")
-
-
-def is_alu_op(instr: Instruction) -> bool:
-    """True for instructions fully evaluable by :func:`alu_result`."""
-    try:
-        alu_result(instr.op, 0, 1)
-    except (ValueError, ArithmeticFault):
-        return instr.op in (Op.DIV, Op.MOD)
-    return True

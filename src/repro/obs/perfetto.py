@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.obs.intervals import _source_index
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.profile import Profile
 
@@ -68,7 +70,7 @@ def to_perfetto(profile: "Profile") -> dict:
 
     pipeline = intervals.get("pipeline", {})
     for src in sorted(pipeline):
-        spu_tid = _trailing_int(src)
+        spu_tid = _source_index(src)
         events.append(_meta(_PID_SPU, spu_tid, src, "thread_name"))
         for iv in pipeline[src]:
             if iv["end"] <= iv["start"]:
@@ -132,7 +134,7 @@ def to_perfetto(profile: "Profile") -> dict:
         # Recovery markers (thread re-executions, DMA re-fetches) as
         # instant events on the owning SPE's pipeline row, so they line
         # up with the run/PF bars they interrupted.
-        tid = _trailing_int(mark.get("source", ""))
+        tid = _source_index(mark.get("source", ""))
         if mark["kind"] == "thread-reexec":
             name = (f"re-exec tid {mark.get('tid')} "
                     f"(attempt {mark.get('attempt')})")
@@ -244,12 +246,3 @@ def validate_trace_events(doc: dict) -> list[str]:
         if open_count:
             errors.append(f"async {key}: {open_count} unclosed b events")
     return errors
-
-
-def _trailing_int(source: str) -> int:
-    digits = ""
-    for ch in reversed(source):
-        if not ch.isdigit():
-            break
-        digits = ch + digits
-    return int(digits) if digits else 0

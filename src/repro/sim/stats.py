@@ -84,10 +84,6 @@ class TimeBreakdown:
         """All bucket shares, keyed by bucket name."""
         return {b: self.fraction(b) for b in Bucket.ALL}
 
-    def as_dict(self) -> dict[str, float]:
-        """Raw cycles per bucket, keyed by bucket name (for exports)."""
-        return {b: getattr(self, b) for b in Bucket.ALL}
-
     def __add__(self, other: "TimeBreakdown") -> "TimeBreakdown":
         return TimeBreakdown(
             **{b: getattr(self, b) + getattr(other, b) for b in Bucket.ALL}
