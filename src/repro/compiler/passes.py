@@ -53,6 +53,14 @@ from repro.isa.program import BlockKind, ThreadProgram
 __all__ = ["PrefetchOptions", "prefetch_transform", "transform_program", "PassError"]
 
 
+#: First register index the generated code may clobber.  PF scratch uses
+#: the first six; write-back regions take three persistent registers each
+#: above those.
+COMPILER_REG_BASE = 112
+#: First DMA tag id assigned to generated commands.
+TAG_BASE = 0
+
+
 class PassError(ValueError):
     """The prefetch pass cannot be applied to this program."""
 
@@ -66,12 +74,6 @@ class PrefetchOptions:
     worthwhile_threshold: float = 0.5
     #: Frame capacity the transformed template must still fit in.
     max_frame_words: int = 32
-    #: First register index the generated code may clobber.  PF scratch
-    #: uses the first six; write-back regions take three persistent
-    #: registers each above those.
-    compiler_reg_base: int = 112
-    #: First DMA tag id assigned to generated commands.
-    tag_base: int = 0
     #: Prefetch regions the thread also writes: rewrite WRITEs into
     #: LSTOREs and DMAPUT the buffer back in PS.
     allow_writeback: bool = False
@@ -126,11 +128,11 @@ def transform_program(
             f"{program.name}: transformed template needs {new_frame_words} "
             f"frame words > max {opts.max_frame_words}"
         )
-    _check_register_budget(program, regions, writeback, opts)
+    _check_register_budget(program, regions, writeback)
 
     pf = _build_pf_block(regions, trans_slot, stride_slot, opts)
     pl_appendix, ps_prefix = _build_writeback(
-        writeback, regions, trans_slot, opts
+        writeback, regions, trans_slot
     )
 
     # Per-block flat-index shifts caused by the inserted code.
@@ -252,7 +254,7 @@ def _build_pf_block(
     stride_slot: dict[int, int],
     opts: PrefetchOptions,
 ) -> list[Instruction]:
-    base = opts.compiler_reg_base
+    base = COMPILER_REG_BASE
     RB, RP, ROFF, RMEM, RBUF, RTRANS = range(base, base + 6)
     pf: list[Instruction] = []
 
@@ -260,7 +262,7 @@ def _build_pf_block(
         pf.append(Instruction(op=op, **kw))
 
     for i, region in enumerate(regions):
-        tag = opts.tag_base + i
+        tag = TAG_BASE + i
         emit(Op.LOAD, rd=RB, imm=region.base_slot,
              comment=f"base ptr of {region.obj}")
         have_off = _region_offset(
@@ -310,14 +312,14 @@ def _build_pf_block(
     return pf
 
 
-def _writeback_regs(index: int, opts: PrefetchOptions) -> tuple[int, int, int]:
+def _writeback_regs(index: int) -> tuple[int, int, int]:
     """The three persistent registers of write-back region ``index``.
 
     They are loaded at the end of PL and consumed at the start of PS —
     legal because the only register-clearing yield sits at the PF
     boundary, before PL.
     """
-    first = opts.compiler_reg_base + 6 + 3 * index
+    first = COMPILER_REG_BASE + 6 + 3 * index
     return first, first + 1, first + 2  # base ptr, translated ptr, param
 
 
@@ -325,18 +327,17 @@ def _build_writeback(
     writeback: list[Region],
     regions: list[Region],
     trans_slot: dict[int, int],
-    opts: PrefetchOptions,
 ) -> tuple[list[Instruction], list[Instruction]]:
     """PL appendix (persistent loads) and PS prefix (DMAPUT + DMAWAIT)."""
     if not writeback:
         return [], []
-    base = opts.compiler_reg_base
+    base = COMPILER_REG_BASE
     _RB, _RP, ROFF, RMEM, RBUF, _RT = range(base, base + 6)
     pl: list[Instruction] = []
     ps: list[Instruction] = []
 
     for j, region in enumerate(writeback):
-        W_RB, W_RT, W_RP = _writeback_regs(j, opts)
+        W_RB, W_RT, W_RP = _writeback_regs(j)
         pl.append(Instruction(op=Op.LOAD, rd=W_RB, imm=region.base_slot,
                               comment=f"[wb] real {region.obj} ptr"))
         pl.append(Instruction(op=Op.LOAD, rd=W_RT, imm=trans_slot[id(region)],
@@ -347,8 +348,8 @@ def _build_writeback(
                                   comment="[wb] region start parameter"))
 
     for j, region in enumerate(writeback):
-        W_RB, W_RT, W_RP = _writeback_regs(j, opts)
-        tag = opts.tag_base + len(regions) + j
+        W_RB, W_RT, W_RP = _writeback_regs(j)
+        tag = TAG_BASE + len(regions) + j
 
         def emit(op: Op, **kw) -> None:
             ps.append(Instruction(op=op, **kw))
@@ -375,7 +376,6 @@ def _check_register_budget(
     program: ThreadProgram,
     regions: list[Region],
     writeback: list[Region],
-    opts: PrefetchOptions,
 ) -> None:
     """Generated code must not clobber program registers (or overflow).
 
@@ -384,7 +384,7 @@ def _check_register_budget(
     without a register reset — so a clash with registers the program
     expects to survive would be a silent corruption.
     """
-    base = opts.compiler_reg_base
+    base = COMPILER_REG_BASE
     top = base + 6 + 3 * len(writeback)
     if top > 128:
         raise PassError(
