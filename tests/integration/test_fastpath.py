@@ -26,7 +26,7 @@ from repro.cell.machine import Machine
 from repro.compiler.passes import prefetch_transform
 from repro.isa.interpreter import run_functional
 from repro.obs.profile import profile_workload
-from repro.sim.config import MachineConfig
+from repro.sim.config import MachineConfig, paper_config
 
 BENCHMARKS = ("bitcnt", "mmul", "zoom")
 
@@ -49,12 +49,34 @@ def _entry(golden, workload, machine, result) -> dict:
     }
 
 
-def _run(golden, name: str, config: MachineConfig, prefetch=True) -> dict:
+def _run(golden, name: str, config: MachineConfig, prefetch=True,
+         engine=False) -> dict:
+    """The golden entry of one test-scale run; ``engine=True`` adds the
+    engine's dispatch counters (:data:`HOST_TOTALS`) as plain integers."""
     workload = builders("test")[name]()
     machine = Machine(config)
     activity = workload.activity
     machine.load(prefetch_transform(activity) if prefetch else activity)
-    return _entry(golden, workload, machine, machine.run())
+    entry = _entry(golden, workload, machine, machine.run())
+    if engine:
+        entry.update(engine_totals(machine.engine))
+    return entry
+
+
+#: Totals that count host work (engine dispatches), not simulated
+#: behaviour: pinned as plain integers so a change that saves host work
+#: shows as a readable diff, outside any digest.
+HOST_TOTALS = ("engine_ticks", "engine_callbacks", "engine_stale_skipped")
+
+
+def engine_totals(engine) -> dict:
+    """``engine``'s dispatch counters under their :data:`HOST_TOTALS`
+    names."""
+    return {
+        "engine_ticks": engine.ticks_dispatched,
+        "engine_callbacks": engine.callbacks_dispatched,
+        "engine_stale_skipped": engine.stale_skipped,
+    }
 
 
 class TestPlainEquivalence:
@@ -77,13 +99,25 @@ class TestFaultedEquivalence:
 
 
 class TestUnprefetchedEquivalence:
-    """The blocking variant: every READ is a bus/memory round trip."""
+    """The blocking variant: every READ is a bus/memory round trip.
+
+    The plain entries also pin the engine's dispatch counters: work that
+    makes each blocking event cheaper must not add or drop one."""
 
     @pytest.mark.parametrize("name", BENCHMARKS)
     def test_plain_runs_bit_identical(self, name, golden):
         golden.check(
             f"{name}/noprefetch",
-            _run(golden, name, MachineConfig(), prefetch=False),
+            _run(golden, name, MachineConfig(), prefetch=False, engine=True),
+        )
+
+    def test_mmul_at_2_spes_bit_identical(self, golden):
+        # A second shape for the engine counters: with two SPEs nearly
+        # every event belongs to a READ round trip.
+        golden.check(
+            "mmul/noprefetch2",
+            _run(golden, "mmul", paper_config(2), prefetch=False,
+                 engine=True),
         )
 
     @pytest.mark.parametrize("name", BENCHMARKS)
@@ -149,12 +183,6 @@ class TestRestoredEquivalence:
         golden.check(
             f"{name}/plain", _entry(golden, workload, restored, restored.run())
         )
-
-
-#: Profile totals that count host work (engine dispatches), not simulated
-#: behaviour: pinned as plain integers so a change that saves host work
-#: shows as a readable diff, outside the profile digest.
-HOST_TOTALS = ("engine_ticks", "engine_callbacks", "engine_stale_skipped")
 
 
 def _profile_entry(golden, name: str, config: MachineConfig) -> dict:
