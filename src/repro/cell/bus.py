@@ -97,7 +97,6 @@ class Bus(Component):
         ``src`` may be ``None`` for host-originated traffic (treated as
         node 0).
         """
-        src_node = getattr(src, "node_id", 0) if src is not None else 0
         inj = self._injector
         if (inj is not None and inj.plan.data_active
                 and type(msg) is StoreMsg):
@@ -107,12 +106,13 @@ class Bus(Component):
             # boundary.
             msg = StoreMsg(handle=msg.handle, slot=msg.slot,
                            value=msg.value, check=store_check(msg.value))
+        engine = self._engine or self.engine
         self._next_seq += 1
         self._queue.append(
-            _Transfer(src_node=src_node, dst=dst, msg=msg,
-                      enqueued_at=self.now, seq=self._next_seq)
+            _Transfer(src.node_id if src is not None else 0, dst, msg,
+                      engine._now, self._next_seq)
         )
-        self.wake()
+        engine.schedule(self)
 
     @property
     def pending(self) -> int:
@@ -123,34 +123,36 @@ class Bus(Component):
 
     def tick(self, now: int) -> int | None:
         # Grant free channels to queued transfers in FIFO order.
-        for ch in range(self.config.num_buses):
-            if not self._queue:
+        queue = self._queue
+        channel_free = self._channel_free
+        config = self.config
+        stats = self.stats
+        engine = self._engine
+        for ch in range(config.num_buses):
+            if not queue:
                 break
-            if self._channel_free[ch] > now:
+            if channel_free[ch] > now:
                 continue
-            t = self._queue.popleft()
-            cycles = max(
-                1, -(-t.msg.size_bytes // self.config.bytes_per_cycle)
-            )
-            extra = (
-                self.inter_node_latency
-                if t.src_node != getattr(t.dst, "node_id", 0)
-                else 0
-            )
-            finish = now + self.config.arbitration_latency + cycles + extra
-            self._channel_free[ch] = now + cycles  # channel is pipelined past
-            self.stats.transfers += 1
-            self.stats.bytes_moved += t.msg.size_bytes
-            self.stats.busy_bus_cycles += cycles
-            self.stats.queue_wait_cycles += now - t.enqueued_at
+            t = queue.popleft()
+            size = t.msg.size_bytes
+            cycles = max(1, -(-size // config.bytes_per_cycle))
+            finish = now + config.arbitration_latency + cycles
+            if t.src_node != t.dst.node_id:
+                finish += self.inter_node_latency
+            channel_free[ch] = now + cycles  # channel is pipelined past
+            stats.transfers += 1
+            stats.bytes_moved += size
+            stats.busy_bus_cycles += cycles
+            stats.queue_wait_cycles += now - t.enqueued_at
             if self._m_busy is not None:
                 self._m_busy.add(now, cycles)
-                self._m_bytes.add(now, t.msg.size_bytes)
-                self._g_backlog.observe(now, len(self._queue))
-            self._trace(
-                "bus-grant", channel=ch, end=now + cycles,
-                bytes=t.msg.size_bytes,
-            )
+                self._m_bytes.add(now, size)
+                self._g_backlog.observe(now, len(queue))
+            if self._tracer is not None:
+                self._tracer.emit(
+                    now, self.name, "bus-grant", channel=ch,
+                    end=now + cycles, bytes=size,
+                )
             inj = self._injector
             if inj is not None:
                 finish += inj.bus_transfer_delay()
@@ -172,15 +174,15 @@ class Bus(Component):
                             check=m.check,
                         )
             self._undelivered.add(t.seq)
-            self.engine.call_at(finish, Callback("bus.deliver", self, (t,)))
+            engine.call_at(finish, Callback("bus.deliver", self, (t,)))
             if inj is not None and inj.bus_duplicate():
                 # Deliver a second copy one cycle later; _deliver absorbs
                 # it because the seq will already be retired.
-                self.engine.call_at(
+                engine.call_at(
                     finish + 1, Callback("bus.deliver", self, (t,))
                 )
-        if self._queue:
-            nxt = min(self._channel_free)
+        if queue:
+            nxt = min(channel_free)
             return max(nxt, now + 1)
         return None
 

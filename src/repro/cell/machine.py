@@ -210,6 +210,21 @@ class Machine:
 
     def thread_completed(self) -> None:
         self.threads_completed += 1
+        self.check_done()
+
+    def check_done(self) -> None:
+        """End the run after the current cycle if the activity is done.
+
+        :meth:`_done` is the run's stop condition, and this is the only
+        place it stops a run: it is called whenever an input that can
+        turn it true changes — a thread completes, the PPE makes
+        progress — and once when :meth:`run` starts.  Creating a thread
+        cannot turn it true, and cannot follow it being true: every
+        thread is created for an outstanding FALLOC, whose requester (a
+        running thread, or the PPE) is not done yet.
+        """
+        if self._done():
+            self.engine.stop()
 
     # -- loading & running ----------------------------------------------------------
 
@@ -226,8 +241,8 @@ class Machine:
         self.ppe.load(activity)
 
     def _done(self) -> bool:
-        # Checked between every dispatched cycle: cheap int comparisons
-        # first, the multi-attribute ppe.done property last.
+        # Cheap int comparisons first, the multi-attribute ppe.done
+        # property last.
         return (
             self.threads_created > 0
             and self.threads_completed == self.threads_created
@@ -313,11 +328,14 @@ class Machine:
                 self.watchdog.start()
             if self.sampler is not None:
                 self.sampler.start()
+        # A machine restored after its last thread completed is already
+        # done: the run then visits no cycle.
+        self.check_done()
         self.engine.run(
-            until=self._done,
             max_cycles=max_cycles,
             checkpoint_every=every,
             on_checkpoint=on_checkpoint,
+            until_stopped=True,
         )
         finish = self.engine.now
         # Drain in-flight posted writes / acks so results are observable.

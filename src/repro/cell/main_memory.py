@@ -114,25 +114,51 @@ class MainMemory(Component):
     node_id = 0
 
     def deliver(self, msg: Message) -> None:
-        self._queue.append((msg, self.now))
-        self.wake()
+        engine = self._engine or self.engine
+        self._queue.append((msg, engine._now))
+        engine.schedule(self)
 
     # -- component ------------------------------------------------------------------
 
     def tick(self, now: int) -> int | None:
+        queue = self._queue
+        config = self.config
+        stats = self.stats
         accepted = 0
-        while self._queue and accepted < self.config.ports:
-            msg, arrival = self._queue.popleft()
+        while queue and accepted < config.ports:
+            msg, arrival = queue.popleft()
             accepted += 1
-            self.stats.port_wait_cycles += now - arrival
+            stats.port_wait_cycles += now - arrival
             if self._m_wait is not None:
                 self._m_requests.add(now, 1)
                 if now > arrival:
                     self._m_wait.add(now, now - arrival)
-            self._serve(msg, now)
+            if type(msg) is not ReadRequest:
+                self._serve(msg, now)
+                continue
+            # A scalar READ, the blocking round trip of the unprefetched
+            # baseline: read_word, _endpoint and _respond, inline.
+            stats.read_requests += 1
+            stats.bytes_read += 4
+            addr = msg.addr
+            if addr % 4 or not 0 <= addr < config.size:
+                self._check(addr)  # raises MemoryFault
+            endpoint = self.directory.get(msg.requester_spe)
+            if endpoint is None:
+                self._endpoint(msg.requester_spe)  # raises MemoryFault
+            if self._bus is None:
+                raise RuntimeError(f"{self.name}: bus not attached")
+            ready = now + config.latency
+            if self._injector is not None:
+                ready += self._injector.mem_stall()
+            self._engine.call_at(ready, Callback(
+                "memory.send", self,
+                (endpoint, ReadResponse(reply_key=msg.reply_key,
+                                        value=self._words.get(addr >> 2, 0))),
+            ))
         if self._g_queue is not None and accepted:
-            self._g_queue.observe(now, len(self._queue))
-        return now + 1 if self._queue else None
+            self._g_queue.observe(now, len(queue))
+        return now + 1 if queue else None
 
     def _endpoint(self, spe_id: int):
         try:
@@ -153,16 +179,8 @@ class MainMemory(Component):
         self._bus.send(self, endpoint, msg)
 
     def _serve(self, msg: Message, now: int) -> None:
-        if isinstance(msg, ReadRequest):
-            self.stats.read_requests += 1
-            self.stats.bytes_read += 4
-            value = self.read_word(msg.addr)
-            self._respond(
-                self._endpoint(msg.requester_spe),
-                ReadResponse(reply_key=msg.reply_key, value=value),
-                now,
-            )
-        elif isinstance(msg, WriteRequest):
+        """Serve every request but a scalar READ (:meth:`tick` does those)."""
+        if isinstance(msg, WriteRequest):
             self.stats.write_requests += 1
             self.stats.bytes_written += 4
             self.write_word(msg.addr, msg.value)

@@ -84,6 +84,7 @@ class PPE(Component, BusEndpoint):
         self._handle = msg.handle
         self.spawned_handles.append(msg.handle)
         self._waiting_response = False
+        self._machine.check_done()
         self.wake()
 
     # -- component ------------------------------------------------------------
@@ -98,6 +99,7 @@ class PPE(Component, BusEndpoint):
                 self, self._machine_endpoint_for(self._handle),
                 StoreMsg(handle=self._handle, slot=slot, value=value),
             )
+            self._machine.check_done()
             return now + _ISSUE_LATENCY
         if self._spawn_index < len(self._activity.spawns):
             spawn = self._activity.spawns[self._spawn_index]

@@ -31,6 +31,9 @@ from repro.sim.stats import MFCStats, SchedulerStats, SpuStats
 
 __all__ = ["SPE"]
 
+#: Message types an SPE routes to its LSE.
+_LSE_MESSAGES = frozenset({StoreMsg, AllocFrame, FallocResponse, FFreeMsg})
+
 
 class SPE(BusEndpoint):
     """One synergistic processing element."""
@@ -80,17 +83,18 @@ class SPE(BusEndpoint):
     # -- bus endpoint routing -----------------------------------------------
 
     def deliver(self, msg: Message) -> None:
-        if isinstance(msg, ReadResponse):
-            self.spu.read_response(msg.value)
-        elif isinstance(msg, WriteAck):
+        kind = type(msg)
+        if kind is ReadResponse:
+            self.spu.unblock(msg.value)  # the blocking READ's datum
+        elif kind is WriteAck:
             self.spu.write_ack()
-        elif isinstance(msg, CacheFillResponse):
+        elif kind is DmaReadResponse:
+            self.mfc.deliver(msg)
+        elif kind in _LSE_MESSAGES:
+            self.lse.deliver(msg)
+        elif kind is CacheFillResponse:
             assert self.cache is not None
             self.cache.deliver(msg)
-        elif isinstance(msg, DmaReadResponse):
-            self.mfc.deliver(msg)
-        elif isinstance(msg, (StoreMsg, AllocFrame, FallocResponse, FFreeMsg)):
-            self.lse.deliver(msg)
         else:
             raise RuntimeError(
                 f"SPE {self.spe_id}: cannot route {type(msg).__name__}"

@@ -215,21 +215,19 @@ class SPU(Component):
             self.wake()
 
     def unblock(self, value: int) -> None:
-        """LSE / memory: the value a blocked instruction was waiting for."""
+        """LSE / memory: the value a blocked instruction was waiting for
+        (a READ's datum, a FALLOC's handle, an LSALLOC's address)."""
         if self._state is not _State.EXTERNAL or self._ext_kind != "value":
             raise SpuFault(f"{self.name}: spurious unblock({value})")
-        self._finish_external()
-        rd, self._ext_rd = self._ext_rd, None
+        rd = self._ext_rd
         assert rd is not None
         self.regs[rd] = value
-        self.wake()
+        self._resume()
 
     def lse_queue_drained(self) -> None:
         """LSE: space opened in its SPU-side request queue."""
         if self._state is _State.EXTERNAL and self._ext_kind == "lse_queue":
-            self._finish_external()
-            self._ext_rd = None
-            self.wake()
+            self._resume()
 
     def write_ack(self) -> None:
         """Memory: a posted WRITE was accepted (store-queue credit)."""
@@ -237,28 +235,33 @@ class SPU(Component):
             raise SpuFault(f"{self.name}: write credit underflow")
         self._outstanding_writes -= 1
         if self._state is _State.EXTERNAL and self._ext_kind == "write_credit":
-            self._finish_external()
-            self._ext_rd = None
-            self.wake()
-
-    def read_response(self, value: int) -> None:
-        """Memory: the datum for the blocking READ in flight."""
-        self.unblock(value)
+            self._resume()
 
     def dma_waiter_resume(self) -> None:
         """LSE: the DMAWAIT tag group completed."""
         if self._state is not _State.EXTERNAL or self._ext_kind != "dmawait":
             raise SpuFault(f"{self.name}: spurious DMA-wait resume")
-        self._finish_external()
-        self._ext_rd = None
-        self.wake()
+        self._resume()
 
-    def _finish_external(self) -> None:
-        # The resume tick runs next cycle; charge the stall through it.
-        now = self.now
-        self._account(self._stall_bucket, now + 1 - self._stall_start, now)
+    def _resume(self) -> None:
+        """End an external wait: charge the stall through the resume tick,
+        which runs next cycle (what :meth:`_account` does, inline), and
+        wake the pipeline."""
+        engine = self._engine
+        now = engine._now
+        cycles = now + 1 - self._stall_start
+        if cycles > 0:
+            bucket = self._stall_bucket
+            stats = self.stats
+            stats.breakdown.__dict__[bucket] += cycles
+            if self.thread is not None:
+                stats.template_cycles[self.thread.program.name] += cycles
+            if self._m_buckets is not None:
+                self._m_buckets[bucket].add(now, cycles)
         self._state = _State.RUNNING
         self._ext_kind = None
+        self._ext_rd = None
+        engine.schedule(self)
 
     # -- blocking helpers ----------------------------------------------------------
 
@@ -368,9 +371,9 @@ class SPU(Component):
 
         Each pass of the loop is one cycle: up to one MEM-slot and one
         ALU-slot instruction, in program order, read from the
-        pre-resolved :mod:`repro.isa.decoded` rows.  ALU, branch and Local
-        Store rows execute inline; memory, scheduler and DMA ops run
-        through :meth:`_dispatch_op`.
+        pre-resolved :mod:`repro.isa.decoded` rows.  ALU, branch, Local
+        Store, READ and WRITE rows execute inline; scheduler and DMA ops
+        run through :meth:`_dispatch_op`.
 
         The first cycle is the engine's.  The loop then **runs ahead**:
         it goes on to the next cycle in the same tick while that cycle
@@ -619,9 +622,70 @@ class SPU(Component):
                             )
                         pc += 1
                         mem_used = True
+                    elif row[D_NAME] == "READ":
+                        # Memory ops, like scheduler and DMA ops, issue
+                        # only in the engine's cycle.  A READ blocks the
+                        # pipeline until its datum returns over the bus
+                        # (SPE.deliver -> unblock).
+                        ar = row[D_AREG]
+                        addr = (
+                            regs[ar] if ar is not None else row[D_AVAL]
+                        ) + row[D_IMM]
+                        pc += 1
+                        self.pc = pc
+                        self._state = _State.EXTERNAL
+                        self._stall_bucket = (
+                            Bucket.PREFETCH if open_pf and pc < pf_end
+                            else Bucket.MEM_STALL
+                        )
+                        self._ext_kind = "value"
+                        self._ext_rd = row[D_RD]
+                        if self._cache is not None:
+                            # The cache answers hits after its own latency
+                            # and fills whole lines on misses; either way
+                            # it unblocks us.
+                            self._cache.read(addr, on_value=self.unblock)
+                        else:
+                            self._bus.send(
+                                self._endpoint, self._memory,
+                                ReadRequest(addr=addr, reply_key=0,
+                                            requester_spe=self.spe_id),
+                            )
+                        by_opcode["READ"] += 1
+                        self._charge_issue(issued + 1, now, bucket)
+                        self._stall_start = now + 1
+                        return None
+                    elif row[D_NAME] == "WRITE":
+                        # A posted WRITE takes a store-queue credit; with
+                        # none free it waits for a WriteAck.
+                        if self._outstanding_writes >= self.config.store_queue_size:
+                            if issued:
+                                break  # retry next cycle
+                            self.pc = pc
+                            self._block_external(
+                                "write_credit", self._bucket(Bucket.MEM_STALL)
+                            )
+                            return None
+                        ar = row[D_AREG]
+                        addr = (
+                            regs[ar] if ar is not None else row[D_AVAL]
+                        ) + row[D_IMM]
+                        br = row[D_BREG]
+                        value = regs[br] if br is not None else row[D_BVAL]
+                        thread.side_effects = True
+                        self._outstanding_writes += 1
+                        if self._cache is not None:
+                            self._cache.write(addr, value)  # write-through
+                        self._bus.send(
+                            self._endpoint, self._memory,
+                            WriteRequest(addr=addr, value=value,
+                                         requester_spe=self.spe_id),
+                        )
+                        pc += 1
+                        mem_used = True
                     else:
-                        # Memory, scheduler and DMA ops: only ever in the
-                        # engine's cycle.
+                        # Scheduler and DMA ops: only ever in the engine's
+                        # cycle.
                         self.pc = pc
                         outcome = self._dispatch_op(
                             thread.program.flat[pc], now, issued
@@ -643,7 +707,7 @@ class SPU(Component):
                             if outcome == "stop":
                                 return self._next_thread(issued, now, bucket)
                             # A blocking op issued and is now waiting
-                            # (READ, FALLOC...).
+                            # (FALLOC, LSALLOC, a DMA op).
                             self._charge_issue(issued, now, bucket)
                             self._stall_start = now + 1
                             return (
@@ -740,63 +804,19 @@ class SPU(Component):
         raise SpuFault(f"{self.name}: missing operand")
 
     def _dispatch_op(self, instr: Instruction, now: int, issued: int) -> str:
-        """Execute the memory, scheduler or DMA op ``instr`` if possible.
+        """Execute the scheduler or DMA op ``instr`` if possible.
 
-        Local Store ops never come here: :meth:`_issue_cycle` issues them
-        inline from their decoded rows.  Returns "issued", "stop",
-        "yielded" (issued but the pipeline is now waiting), "retry"
-        (structural conflict, nothing done) or "blocked" (entered a
-        stall; only when nothing was issued this cycle).
+        Local Store ops, READ and WRITE never come here:
+        :meth:`_issue_cycle` issues them inline from their decoded rows.
+        Returns "issued", "stop", "yielded" (issued but the pipeline is
+        now waiting), "retry" (structural conflict, nothing done) or
+        "blocked" (entered a stall; only when nothing was issued this
+        cycle).
         """
         op = instr.op
         thread = self.thread
         assert thread is not None
         assert self._lse is not None
-
-        # -- main memory -----------------------------------------------------------
-        if op is Op.READ:
-            addr = self._val(instr.ra) + instr.imm
-            rd = instr.rd
-            self.pc += 1
-            self._block_external(
-                "value", self._bucket(Bucket.MEM_STALL), rd=rd
-            )
-            if self._cache is not None:
-                # The cache answers hits after its own latency and fills
-                # whole lines on misses; either way it unblocks us.
-                self._cache.read(addr, on_value=self.unblock)
-            else:
-                self._bus.send(
-                    self._endpoint,
-                    self._memory,
-                    ReadRequest(addr=addr, reply_key=0,
-                                requester_spe=self.spe_id),
-                )
-            return "yielded"
-        if op is Op.WRITE:
-            if self._outstanding_writes >= self.config.store_queue_size:
-                if issued == 0:
-                    self._block_external(
-                        "write_credit", self._bucket(Bucket.MEM_STALL)
-                    )
-                    return "blocked"
-                return "retry"
-            addr = self._val(instr.ra) + instr.imm
-            value = self._val(instr.rb)
-            thread.side_effects = True
-            self._outstanding_writes += 1
-            if self._cache is not None:
-                self._cache.write(addr, value)  # write-through: keep fresh
-            self._bus.send(
-                self._endpoint,
-                self._memory,
-                WriteRequest(
-                    addr=addr, value=value,
-                    requester_spe=self.spe_id,
-                ),
-            )
-            self.pc += 1
-            return "issued"
 
         # -- scheduler ops ------------------------------------------------------------
         if op in (Op.STORE, Op.FFREE, Op.STOP, Op.FALLOC, Op.LSALLOC):

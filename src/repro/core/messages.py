@@ -14,7 +14,9 @@ same SPE, so the MFC calls :meth:`LSE.dma_command_done
 <repro.core.lse.LSE.dma_command_done>` directly.
 
 Messages are allocated on the simulator's hot path (one per store, per
-bus flit, per DMA chunk), so every class uses ``slots=True``.
+bus flit, per DMA chunk), so every class uses ``slots=True``.  A message
+whose size is fixed declares it as a class constant, read without a
+call; only messages that carry a payload of words compute it.
 """
 
 from __future__ import annotations
@@ -46,9 +48,8 @@ __all__ = [
 class Message:
     """Base class: every message knows its wire size."""
 
-    @property
-    def size_bytes(self) -> int:
-        return 16
+    #: Wire size in bytes (a class constant unless the payload varies).
+    size_bytes = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,9 +99,7 @@ class StoreMsg(Message):
     #: 0 (and unverified) otherwise.
     check: int = 0
 
-    @property
-    def size_bytes(self) -> int:
-        return 16  # header + address + 4-byte datum, rounded to flit
+    size_bytes = 16  # header + address + 4-byte datum, rounded to flit
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,9 +108,7 @@ class FFreeMsg(Message):
 
     handle: int
 
-    @property
-    def size_bytes(self) -> int:
-        return 8
+    size_bytes = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,9 +117,7 @@ class FrameFreed(Message):
 
     spe_id: int
 
-    @property
-    def size_bytes(self) -> int:
-        return 8
+    size_bytes = 8
 
 
 # -- main-memory traffic -------------------------------------------------------
@@ -136,9 +131,7 @@ class ReadRequest(Message):
     reply_key: int
     requester_spe: int
 
-    @property
-    def size_bytes(self) -> int:
-        return 8
+    size_bytes = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,9 +141,7 @@ class ReadResponse(Message):
     reply_key: int
     value: int
 
-    @property
-    def size_bytes(self) -> int:
-        return 8  # 4-byte datum padded to one bus flit
+    size_bytes = 8  # 4-byte datum padded to one bus flit
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,9 +152,7 @@ class WriteRequest(Message):
     value: int
     requester_spe: int
 
-    @property
-    def size_bytes(self) -> int:
-        return 12
+    size_bytes = 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,9 +161,7 @@ class WriteAck(Message):
 
     requester_spe: int
 
-    @property
-    def size_bytes(self) -> int:
-        return 8
+    size_bytes = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,9 +172,7 @@ class CacheFillRequest(Message):
     size: int
     requester_spe: int
 
-    @property
-    def size_bytes(self) -> int:
-        return 8
+    size_bytes = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,9 +198,7 @@ class DmaReadRequest(Message):
     chunk_index: int
     requester_spe: int
 
-    @property
-    def size_bytes(self) -> int:
-        return 8
+    size_bytes = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -229,9 +212,7 @@ class DmaGatherRequest(Message):
     chunk_index: int
     requester_spe: int
 
-    @property
-    def size_bytes(self) -> int:
-        return 16  # address + count + stride + ids
+    size_bytes = 16  # address + count + stride + ids
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,8 +9,14 @@ file (:class:`JsonlSink`), fan out to several consumers
 (:class:`TeeSink`), or fold events into interval series
 (:class:`repro.obs.intervals.IntervalSink`).
 
-Tracing is off by default (a ``None`` tracer costs one attribute check
-per would-be event).  Attach one with
+Tracing is off by default.  What a detached (``None``) tracer costs
+depends on the call site: the bus, which emits the most events
+(``bus-grant``, one per transfer), tests its ``_tracer`` attribute inline,
+one attribute check per would-be event; every other site calls
+:meth:`Component._trace <repro.sim.component.Component._trace>`, one
+Python call with its keyword dict built per would-be event (thread
+lifecycle, dispatch, DMA commands and faults: events per thread or per
+DMA command, not per transfer).  Attach a tracer with
 :meth:`repro.cell.machine.Machine.attach_tracer`:
 
 >>> from repro.obs.trace import Tracer

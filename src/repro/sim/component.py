@@ -54,7 +54,13 @@ class Component:
         self._hub = None
 
     def _trace(self, kind: str, **fields: object) -> None:
-        """Record a trace event if a tracer is attached (cheap otherwise)."""
+        """Record a trace event if a tracer is attached.
+
+        Detached, a call still costs the call and its keyword dict, so a
+        site that runs per transfer or per cycle tests ``self._tracer``
+        inline instead and calls the tracer's ``emit`` itself (the bus
+        does, for ``bus-grant``).
+        """
         tracer = self._tracer
         if tracer is not None:
             tracer.emit(self.now, self.name, kind, **fields)

@@ -13,6 +13,12 @@ another component runnable must :meth:`~repro.sim.component.Component.wake`
 it.  If the queue drains before the run's stop condition is met the engine
 raises :class:`SimulationDeadlock` with a per-component state dump, turning
 a missed wakeup into a loud, debuggable failure instead of a hang.
+
+A run stops in one of two ways.  ``run(until=...)`` polls a condition
+between every two visited cycles.  ``run(until_stopped=True)`` polls
+nothing: it ends after the cycle in which an event calls :meth:`Engine.stop`,
+so a stop condition that only changes at known points (a thread
+completing) costs nothing on the cycles in between.
 """
 
 from __future__ import annotations
@@ -141,11 +147,24 @@ class Engine:
         self.stale_skipped = 0
         #: Heap compaction passes performed.
         self.compactions = 0
+        #: Set by :meth:`stop`; the run returns after the current cycle.
+        self._stop = False
 
     # -- registration ------------------------------------------------------
 
     def register(self, component: Component) -> Component:
-        """Attach ``component`` to this engine and return it."""
+        """Attach ``component`` to this engine and return it.
+
+        ``component.priority`` must not be negative: negative heap
+        priorities mark one-shot callbacks, and dispatch tells a callback
+        from a tick by that sign alone.
+        """
+        if component.priority < 0:
+            raise ValueError(
+                f"component {component.name!r} has negative priority "
+                f"{component.priority}; negative priorities are reserved "
+                f"for callbacks"
+            )
         component._attach(self)
         component._order = len(self._components)
         self._components.append(component)
@@ -217,7 +236,8 @@ class Engine:
         """Run ``callback`` at the start of ``cycle`` (before ticks).
 
         Callbacks are one-shot and ordered before component ticks at the
-        same cycle (priority ``-1``).  Production sites pass a
+        same cycle (priority ``-1``; dispatch tells them from ticks by the
+        sign).  Production sites pass a
         :class:`Callback` descriptor so the heap stays serializable; bare
         callables are still accepted for tests and ad-hoc scripting but
         make the engine uncheckpointable while they are pending.
@@ -238,6 +258,17 @@ class Engine:
         if not callback.cancelled:
             callback.cancelled = True
             self._callbacks -= 1
+
+    def stop(self) -> None:
+        """End the current run after the cycle being dispatched.
+
+        Every event of that cycle still runs; the run then returns the
+        cycle, as ``run(until=...)`` does when ``until()`` turns true
+        during it.  Called between runs, it makes the next run return at
+        once, before visiting a cycle.  The request is consumed by the
+        run it ends.
+        """
+        self._stop = True
 
     @staticmethod
     def _entry_live(entry: tuple) -> bool:
@@ -263,12 +294,19 @@ class Engine:
         max_cycles: int | None = None,
         checkpoint_every: int | None = None,
         on_checkpoint: Callable[[int], None] | None = None,
+        *,
+        until_stopped: bool = False,
     ) -> int:
         """Run until ``until()`` is true (checked between cycles).
 
         Returns the final cycle count.  Raises :class:`SimulationDeadlock`
         if the queue drains first, or :class:`SimulationLimitExceeded` if
-        ``max_cycles`` is hit.
+        ``max_cycles`` is hit.  Without ``until`` the run drains: it
+        returns when the queue is empty.
+
+        Any run also ends after a cycle in which :meth:`stop` was called.
+        ``until_stopped=True`` runs until that happens and polls no
+        condition; a queue that drains first is a deadlock.
 
         ``checkpoint_every`` (with ``on_checkpoint``) invokes the hook at
         the first *visited* cycle at or past each N-cycle boundary, after
@@ -289,10 +327,13 @@ class Engine:
         heappop = heapq.heappop
         heappush = heapq.heappush
         while True:
+            if self._stop:
+                self._stop = False
+                return self._now
             if until is not None and until():
                 return self._now
             if not heap:
-                if until is None:
+                if until is None and not until_stopped:
                     return self._now
                 raise SimulationDeadlock(self._deadlock_report())
             cycle = heap[0][0]
@@ -309,10 +350,11 @@ class Engine:
             # tick was scheduled.  Nothing dispatched here can add
             # same-cycle work: schedule() and call_at() both clamp
             # requests for the current (or a past) cycle to now + 1,
-            # so this inner loop always terminates.
+            # so this inner loop always terminates.  A negative priority
+            # marks a one-shot callback, any other a component tick.
             while heap and heap[0][0] == cycle:
-                target = heappop(heap)[4]
-                if isinstance(target, Component):
+                _, priority, _, _, target = heappop(heap)
+                if priority >= 0:
                     if target._scheduled_at != cycle:
                         self.stale_skipped += 1
                         continue  # lazily-deleted stale entry
@@ -338,10 +380,14 @@ class Engine:
                             ))
                         else:
                             self.schedule(target, nxt)
-                else:
-                    if isinstance(target, Callback) and target.cancelled:
+                elif type(target) is Callback:
+                    if target.cancelled:
                         self.stale_skipped += 1
                         continue  # lazily-cancelled descriptor
+                    self._callbacks -= 1
+                    self.callbacks_dispatched += 1
+                    target._fn(target.owner, *target.payload)
+                else:  # a bare callable (tests, ad-hoc scripting)
                     self._callbacks -= 1
                     self.callbacks_dispatched += 1
                     target()

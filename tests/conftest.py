@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -62,6 +65,15 @@ class Goldens:
         text = json.dumps(_canonical(obj), sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()
 
+    def entry(self, key: str) -> dict:
+        """The committed entry under ``key``."""
+        entries = (
+            json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+        )
+        if key not in entries:
+            pytest.fail(f"tests/golden/digests.json has no entry {key!r}")
+        return entries[key]
+
     def check(self, key: str, entry: dict) -> None:
         """Assert ``entry`` equals the golden entry under ``key``."""
         entries = (
@@ -87,3 +99,36 @@ class Goldens:
 def golden() -> Goldens:
     """The committed golden digests (see :class:`Goldens`)."""
     return Goldens()
+
+
+def python_calls(machine) -> Counter:
+    """Python function calls made by ``machine.run()``, per code object.
+
+    The cyclic garbage collector is emptied first and kept off during
+    the count: a collection inside the run would add the finalizers of
+    unrelated garbage (suspended generators left by other tests, for
+    example) to the count.
+    """
+    calls: Counter = Counter()
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code] += 1
+
+    gc.collect()
+    gc.disable()
+    outer = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        machine.run()
+    finally:
+        sys.setprofile(outer)
+        gc.enable()
+    return calls
+
+
+@pytest.fixture
+def count_calls():
+    """:func:`python_calls`: count the Python calls of a loaded machine's
+    ``run()`` (host work, counted instead of timed)."""
+    return python_calls

@@ -3,10 +3,6 @@ enabled == timing-neutral and the same engine work plus the sampler's."""
 
 from __future__ import annotations
 
-import gc
-import sys
-from collections import Counter
-
 from repro.bench.scale import builders
 from repro.cell.machine import Machine
 from repro.compiler.passes import prefetch_transform
@@ -32,33 +28,6 @@ def run_bitcnt(hub=None, tracer=None):
     return machine, machine.run()
 
 
-def count_calls(hub=None) -> Counter:
-    """Python function calls made by ``machine.run()``, per code object.
-
-    The cyclic garbage collector is emptied first and kept off during
-    the count: a collection inside the run would add the finalizers of
-    unrelated garbage (suspended generators left by other tests, for
-    example) to the count.
-    """
-    machine = load_bitcnt(hub)
-    calls: Counter = Counter()
-
-    def profiler(frame, event, arg):
-        if event == "call":
-            calls[frame.f_code] += 1
-
-    gc.collect()
-    gc.disable()
-    outer = sys.getprofile()
-    sys.setprofile(profiler)
-    try:
-        machine.run()
-    finally:
-        sys.setprofile(outer)
-        gc.enable()
-    return calls
-
-
 class TestDisabledHubIsAbsent:
     def test_identical_results_and_no_bindings(self):
         _, plain = run_bitcnt()
@@ -79,12 +48,12 @@ class TestDisabledHubIsAbsent:
         assert hub.series == {}
         assert hub.gauges == {}
 
-    def test_same_python_calls_as_plain_run(self):
+    def test_same_python_calls_as_plain_run(self, count_calls):
         """A disabled hub runs exactly the plain run's code: the same
         Python functions, each called the same number of times."""
         run_bitcnt()  # first-call imports and caches stay out of the count
-        plain = count_calls()
-        disabled = count_calls(MetricsHub(enabled=False))
+        plain = count_calls(load_bitcnt())
+        disabled = count_calls(load_bitcnt(MetricsHub(enabled=False)))
         assert sum(plain.values()) > 0
         assert disabled == plain
 

@@ -310,6 +310,89 @@ class TestRunControl:
         assert pend == [(7, t)]
 
 
+class Stopper(Component):
+    """Ticks every cycle, recording (name, cycle); stops the run at
+    ``stop_at``."""
+
+    def __init__(self, name, log, priority=50, stop_at=None):
+        super().__init__(name)
+        self.priority = priority
+        self.log = log
+        self.stop_at = stop_at
+
+    def tick(self, now):
+        self.log.append((self.name, now))
+        if now == self.stop_at:
+            self.engine.stop()
+        return now + 1
+
+
+class TestStop:
+    def test_stop_ends_the_run_after_the_current_cycle(self):
+        log: list[tuple[str, int]] = []
+        eng = Engine()
+        first = eng.register(Stopper("first", log, priority=10, stop_at=3))
+        second = eng.register(Stopper("second", log, priority=20))
+        eng.schedule(first, 1)
+        eng.schedule(second, 1)
+        assert eng.run(until_stopped=True) == 3
+        # The rest of cycle 3 still dispatched; cycle 4 did not.
+        assert log[-2:] == [("first", 3), ("second", 3)]
+        # The request was consumed: the next run goes on from cycle 4.
+        eng.run(until=lambda: eng.now >= 4)
+        assert log[-2:] == [("first", 4), ("second", 4)]
+
+    def test_stop_from_a_callback(self):
+        log: list[tuple[str, int]] = []
+        eng = Engine()
+        t = eng.register(Stopper("t", log))
+        eng.schedule(t, 1)
+        eng.call_at(5, eng.stop)
+        assert eng.run(until_stopped=True) == 5
+        assert log[-1] == ("t", 5)
+
+    def test_stop_also_ends_an_until_run(self):
+        log: list[tuple[str, int]] = []
+        eng = Engine()
+        t = eng.register(Stopper("t", log, stop_at=2))
+        eng.schedule(t, 1)
+        assert eng.run(until=lambda: False) == 2
+
+    def test_stop_before_the_run_returns_at_once(self):
+        eng = Engine()
+        t = eng.register(Ticker("t"))
+        eng.schedule(t, 1)
+        eng.stop()
+        assert eng.run(until_stopped=True) == 0
+        assert t.ticks == []
+        assert eng.ticks_dispatched == 0
+
+    def test_drained_queue_without_a_stop_deadlocks(self):
+        eng = Engine()
+        t = eng.register(Ticker("t", count=3))
+        eng.schedule(t, 1)
+        with pytest.raises(SimulationDeadlock, match="t:"):
+            eng.run(until_stopped=True)
+        assert t.ticks == [1, 2, 3]
+
+    def test_max_cycles_still_raises(self):
+        eng = Engine()
+        t = eng.register(Ticker("t", period=10, count=1000))
+        eng.schedule(t, 1)
+        with pytest.raises(SimulationLimitExceeded):
+            eng.run(until_stopped=True, max_cycles=100)
+
+    def test_register_rejects_a_negative_priority(self):
+        # Dispatch tells a callback (priority -1) from a tick by the sign
+        # of the heap entry's priority alone.
+        eng = Engine()
+        t = Ticker("t")
+        t.priority = -1
+        with pytest.raises(ValueError, match="negative priority"):
+            eng.register(t)
+        assert eng.components == ()
+
+
 class TestDiagnostics:
     def test_deadlock_report_says_queue_drained(self):
         eng = Engine()
