@@ -25,6 +25,7 @@ from repro.bench.scale import builders
 from repro.cell.machine import Machine
 from repro.compiler.passes import prefetch_transform
 from repro.isa.interpreter import run_functional
+from repro.obs.hub import HubConfig
 from repro.obs.profile import profile_workload
 from repro.sim.config import MachineConfig, paper_config
 
@@ -185,9 +186,10 @@ class TestRestoredEquivalence:
         )
 
 
-def _profile_entry(golden, name: str, config: MachineConfig) -> dict:
+def _profile_entry(golden, name: str, config: MachineConfig,
+                   hub_config: HubConfig | None = None) -> dict:
     workload = builders("test")[name]()
-    result, profile = profile_workload(workload, config)
+    result, profile = profile_workload(workload, config, hub_config=hub_config)
     data = profile.to_dict()
     host = {key: data["totals"].pop(key) for key in HOST_TOTALS}
     return {
@@ -198,6 +200,12 @@ def _profile_entry(golden, name: str, config: MachineConfig) -> dict:
     }
 
 
+#: Hub buckets of 7 cycles in a ring of 64, sampled every 13 cycles:
+#: every series crosses a bucket edge every few cycles, issue spans and
+#: stalls straddle edges, and the ring evicts.
+FINE_HUB = HubConfig(bucket_cycles=7, max_buckets=64, sample_interval=13)
+
+
 class TestObservedEquivalence:
     """The profile (metrics rings, interval series, totals) of a run with
     the metrics hub and interval tracer attached.
@@ -206,6 +214,9 @@ class TestObservedEquivalence:
     by the SPE count, and ``x / 8 == x * 0.125`` exactly in binary
     floating point while ``x / 3`` and ``x * (1 / 3)`` can differ in the
     last bit, so only the 3-SPE entries see how an average is formed.
+    The default 1024-cycle buckets see few bucket edges in a test-scale
+    run and never fill the ring, so the 3-SPE runs are also pinned with
+    :data:`FINE_HUB`.
     """
 
     @pytest.mark.parametrize("name", BENCHMARKS)
@@ -219,6 +230,15 @@ class TestObservedEquivalence:
         golden.check(
             f"{name}/profile3",
             _profile_entry(golden, name, MachineConfig().with_spes(3)),
+        )
+
+    @pytest.mark.parametrize("name", BENCHMARKS)
+    def test_fine_bucket_profiles_bit_identical(self, name, golden):
+        golden.check(
+            f"{name}/profile_fine",
+            _profile_entry(
+                golden, name, MachineConfig().with_spes(3), FINE_HUB
+            ),
         )
 
 

@@ -3,6 +3,8 @@ the stats pipeline it reads Fig. 5/9 from."""
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 
 import pytest
@@ -166,6 +168,23 @@ class TestEntryPoints:
         kinds = {json.loads(line)["kind"] for line in lines}
         assert "dispatch" in kinds
         assert "dma-command" in kinds
+
+    def test_trace_jsonl_changes_nothing_the_profile_holds(
+        self, bitcnt_profiled, golden
+    ):
+        """Streaming the raw events beside the interval fold leaves the
+        profile as it is without the stream, and the stream is pinned."""
+        buf = io.StringIO()
+        _, profile = profile_workload(
+            builders("test")["bitcnt"](), paper_config(2), prefetch=True,
+            trace_jsonl=buf,
+        )
+        assert profile.to_dict() == bitcnt_profiled[1].to_dict()
+        text = buf.getvalue()
+        golden.check("bitcnt/profile_jsonl", {
+            "sha256": hashlib.sha256(text.encode()).hexdigest(),
+            "lines": text.count("\n"),
+        })
 
     def test_raising_run_flushes_and_closes_the_trace(
         self, tmp_path, monkeypatch
