@@ -189,9 +189,10 @@ class MFC(Component):
         self.stats.bytes_transferred += size
         self._outstanding_bytes += size
         if self._m_bytes is not None:
-            self._m_bytes.add(self.now, size)
+            now = self._engine._now
+            self._m_bytes.add(now, size)
             self._m_commands.add()
-            self._g_inflight.observe(self.now, self._outstanding_bytes)
+            self._g_inflight.observe(now, self._outstanding_bytes)
         if self._lse is not None:
             self._lse.dma_command_issued(tid, tag)
         self.wake()
@@ -376,7 +377,9 @@ class MFC(Component):
             del self._inflight[cmd.command_id]
             self._outstanding_bytes -= cmd.size
             if self._g_inflight is not None:
-                self._g_inflight.observe(self.now, self._outstanding_bytes)
+                self._g_inflight.observe(
+                    self._engine._now, self._outstanding_bytes
+                )
             if self._sanitizer is not None and cmd.kind is DmaKind.GET:
                 self._sanitizer.dma_write_end(self.name, cmd.command_id)
             self.engine.call_at(
@@ -435,7 +438,7 @@ class MFC(Component):
         del self._inflight[cmd.command_id]
         self._outstanding_bytes -= cmd.size
         if self._g_inflight is not None:
-            self._g_inflight.observe(self.now, self._outstanding_bytes)
+            self._g_inflight.observe(self._engine._now, self._outstanding_bytes)
         if self._sanitizer is not None:
             self._sanitizer.dma_write_end(self.name, cmd.command_id)
         self._lse.transfer_corrupt(cmd)

@@ -22,8 +22,9 @@ still open.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
-from repro.obs.trace import TraceEvent, TraceSink
+from repro.obs.trace import TraceSink
 
 __all__ = ["Interval", "IntervalSink", "PROFILE_KINDS"]
 
@@ -58,22 +59,8 @@ class Interval:
     #: Payload bytes (dma / bus intervals).
     size: int = 0
 
-    @property
-    def cycles(self) -> int:
-        return self.end - self.start
-
     def overlaps(self, other: "Interval") -> bool:
         return self.start < other.end and other.start < self.end
-
-    def to_dict(self) -> dict:
-        return {
-            "start": self.start,
-            "end": self.end,
-            "kind": self.kind,
-            "tid": self.tid,
-            "label": self.label,
-            "size": self.size,
-        }
 
 
 class IntervalSink(TraceSink):
@@ -84,8 +71,8 @@ class IntervalSink(TraceSink):
         self.pipeline: dict[str, list[Interval]] = {}
         #: (spe_id, tag) -> closed DMA tag-group intervals.
         self.dma: dict[tuple[int, int], list[Interval]] = {}
-        #: bus channel -> occupancy intervals.
-        self.bus: dict[int, list[Interval]] = {}
+        #: bus channel -> occupancy windows as ``(start, end, bytes)``.
+        self.bus: dict[int, list[tuple[int, int, int]]] = {}
         self._open_pipe: dict[str, Interval] = {}
         self._open_dma: dict[tuple[int, int], Interval] = {}
         #: Point-in-time recovery markers (thread re-executions, DMA
@@ -95,30 +82,37 @@ class IntervalSink(TraceSink):
 
     # -- sink interface -----------------------------------------------------
 
-    def emit(self, event: TraceEvent) -> None:
-        kind = event.kind
-        if kind == "dispatch":
-            src = event.source
-            self._close_pipe(src, event.cycle)
-            fields = event.fields
-            self._open_pipe[src] = Interval(
-                start=event.cycle,
-                end=event.cycle,
+    def record(
+        self, cycle: int, source: str, kind: str, fields: Mapping[str, object]
+    ) -> None:
+        if kind == "bus-grant":  # one per bus transfer: the most frequent
+            channel = fields.get("channel", 0)
+            windows = self.bus.get(channel)
+            if windows is None:
+                windows = self.bus[channel] = []
+            end = fields.get("end", cycle)
+            windows.append(
+                (cycle, end if end > cycle else cycle + 1,
+                 fields.get("bytes", 0))
+            )
+        elif kind == "dispatch":
+            self._close_pipe(source, cycle)
+            self._open_pipe[source] = Interval(
+                start=cycle,
+                end=cycle,
                 kind="pf" if fields.get("pf") else "run",
                 tid=fields.get("tid"),
                 label=str(fields.get("template", "")),
             )
-        elif kind in ("yield-dma", "thread-stop"):
-            self._close_pipe(event.source, event.cycle)
+        elif kind == "yield-dma" or kind == "thread-stop":
+            self._close_pipe(source, cycle)
         elif kind == "dma-command":
-            fields = event.fields
-            spe = _source_index(event.source)
-            key = (spe, fields.get("tag", 0))
+            key = (_source_index(source), fields.get("tag", 0))
             opened = self._open_dma.get(key)
             if opened is None:
                 self._open_dma[key] = Interval(
-                    start=event.cycle,
-                    end=event.cycle,
+                    start=cycle,
+                    end=cycle,
                     kind="dma",
                     tid=fields.get("tid"),
                     label=f"tag {key[1]}",
@@ -128,27 +122,14 @@ class IntervalSink(TraceSink):
                 # Another command joined the still-open tag group.
                 opened.size += fields.get("bytes", 0)
         elif kind == "dma-tag-done":
-            spe = _source_index(event.source)
-            key = (spe, event.fields.get("tag", 0))
+            key = (_source_index(source), fields.get("tag", 0))
             opened = self._open_dma.pop(key, None)
-            if opened is not None and event.cycle > opened.start:
-                opened.end = event.cycle
+            if opened is not None and cycle > opened.start:
+                opened.end = cycle
                 self.dma.setdefault(key, []).append(opened)
-        elif kind == "bus-grant":
-            fields = event.fields
-            end = fields.get("end", event.cycle + 1)
-            self.bus.setdefault(fields.get("channel", 0), []).append(
-                Interval(
-                    start=event.cycle,
-                    end=max(end, event.cycle + 1),
-                    kind="bus",
-                    size=fields.get("bytes", 0),
-                )
-            )
-        elif kind in ("thread-reexec", "dma-reverify"):
+        elif kind == "thread-reexec" or kind == "dma-reverify":
             self.marks.append(
-                {"cycle": event.cycle, "source": event.source,
-                 "kind": kind, **event.fields}
+                {"cycle": cycle, "source": source, "kind": kind, **fields}
             )
 
     def finish(self, total_cycles: int) -> None:
@@ -172,9 +153,6 @@ class IntervalSink(TraceSink):
 
     # -- queries ------------------------------------------------------------
 
-    def busy_cycles(self, src: str) -> int:
-        return sum(iv.cycles for iv in self.pipeline.get(src, []))
-
     def dma_intervals(self) -> list[tuple[int, int, Interval]]:
         """All closed DMA intervals as ``(spe, tag, interval)`` triples."""
         out = []
@@ -186,16 +164,26 @@ class IntervalSink(TraceSink):
     def to_dict(self) -> dict:
         return {
             "pipeline": {
-                src: [iv.to_dict() for iv in ivs]
+                src: [
+                    {"start": iv.start, "end": iv.end, "kind": iv.kind,
+                     "tid": iv.tid, "label": iv.label, "size": iv.size}
+                    for iv in ivs
+                ]
                 for src, ivs in sorted(self.pipeline.items())
             },
             "dma": [
-                {"spe": spe, "tag": tag, **iv.to_dict()}
+                {"spe": spe, "tag": tag, "start": iv.start, "end": iv.end,
+                 "kind": iv.kind, "tid": iv.tid, "label": iv.label,
+                 "size": iv.size}
                 for spe, tag, iv in self.dma_intervals()
             ],
             "bus": {
-                str(ch): [iv.to_dict() for iv in ivs]
-                for ch, ivs in sorted(self.bus.items())
+                str(ch): [
+                    {"start": start, "end": end, "kind": "bus", "tid": None,
+                     "label": "", "size": size}
+                    for start, end, size in windows
+                ]
+                for ch, windows in sorted(self.bus.items())
             },
             "marks": list(self.marks),
         }

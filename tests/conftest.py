@@ -101,8 +101,9 @@ def golden() -> Goldens:
     return Goldens()
 
 
-def python_calls(machine) -> Counter:
-    """Python function calls made by ``machine.run()``, per code object.
+def python_calls(target) -> Counter:
+    """Python function calls made by ``target.run()`` for a loaded
+    machine, or by ``target()`` for a callable, per code object.
 
     The cyclic garbage collector is emptied first and kept off during
     the count: a collection inside the run would add the finalizers of
@@ -115,12 +116,13 @@ def python_calls(machine) -> Counter:
         if event == "call":
             calls[frame.f_code] += 1
 
+    run = target if callable(target) else target.run
     gc.collect()
     gc.disable()
     outer = sys.getprofile()
     sys.setprofile(profiler)
     try:
-        machine.run()
+        run()
     finally:
         sys.setprofile(outer)
         gc.enable()
@@ -130,5 +132,5 @@ def python_calls(machine) -> Counter:
 @pytest.fixture
 def count_calls():
     """:func:`python_calls`: count the Python calls of a loaded machine's
-    ``run()`` (host work, counted instead of timed)."""
+    ``run()``, or of a callable (host work, counted instead of timed)."""
     return python_calls
