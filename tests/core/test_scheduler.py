@@ -193,37 +193,119 @@ class TestFFree:
             run_program(t, stores={"x": 1})
 
 
-class TestBackpressure:
-    def test_store_burst_hits_lse_queue_limit(self):
-        """A long run of back-to-back STOREs must exceed the LSE's queue
-        and surface as LSE-stall cycles, not lost stores."""
-        from repro.core.activity import SpawnRef
+def store_burst(bursts: int = 2, alu_ops: int = 0, stores: int = 40):
+    """Templates and spawns of ``bursts`` threads that each STORE
+    ``stores`` times into one sink frame, every STORE followed by
+    ``alu_ops`` ALU ops; the sink WRITEs 7 to ``out`` once every store
+    has arrived."""
+    from repro.core.activity import SpawnRef
 
-        burst = ThreadBuilder("burst")
-        burst.slot("join")
-        with burst.block(BlockKind.PL):
-            burst.load("rjoin", 0)
-        with burst.block(BlockKind.PS):
-            burst.li("v", 1)
-            for _ in range(40):
-                burst.store("rjoin", 1, "v")
-            burst.stop()
-        sink = ThreadBuilder("sink")
-        sink.slot("out")
-        with sink.block(BlockKind.PL):
-            sink.load("rout", 0)
-        with sink.block(BlockKind.EX):
-            sink.li("d", 7)
-            sink.write("rout", 0, "d")
-            sink.stop()
-        res = run_templates(
-            templates=[burst.build(), sink.build()],
-            spawns=[
-                SpawnSpec(template="sink", stores={0: ObjRef("out")},
-                          extra_sc=40),
-                SpawnSpec(template="burst", stores={0: SpawnRef(0)}),
-            ],
-            globals_=[GlobalObject.zeros("out", 1)],
-        )
-        assert res.word("out") == 7
+    burst = ThreadBuilder("burst")
+    burst.slot("join")
+    with burst.block(BlockKind.PL):
+        burst.load("rjoin", 0)
+    with burst.block(BlockKind.PS):
+        burst.li("v", 1)
+        for _ in range(stores):
+            burst.store("rjoin", 1, "v")
+            for _ in range(alu_ops):
+                burst.addi("v", "v", 1)
+        burst.stop()
+    sink = ThreadBuilder("sink")
+    sink.slot("out")
+    with sink.block(BlockKind.PL):
+        sink.load("rout", 0)
+    with sink.block(BlockKind.EX):
+        sink.li("d", 7)
+        sink.write("rout", 0, "d")
+        sink.stop()
+    spawns = [SpawnSpec(template="sink", stores={0: ObjRef("out")},
+                        extra_sc=bursts * stores)]
+    spawns += [SpawnSpec(template="burst", stores={0: SpawnRef(0)})
+               for _ in range(bursts)]
+    return [burst.build(), sink.build()], spawns
+
+
+def run_store_burst(alu_ops: int = 0):
+    """Two :func:`store_burst` threads on two SPEs, run to completion."""
+    templates, spawns = store_burst(alu_ops=alu_ops)
+    res = run_templates(
+        templates=templates,
+        spawns=spawns,
+        globals_=[GlobalObject.zeros("out", 1)],
+        config=small_config(num_spes=2),
+    )
+    assert res.word("out") == 7
+    return res
+
+
+def watch_spu_queue(monkeypatch):
+    """Record the LSEs' SPU-side request count before each LSE tick;
+    returns a function giving the largest count seen."""
+    from repro.core.lse import LSE
+
+    peak = [0]
+    tick = LSE.tick
+
+    def watched(lse, now):
+        peak[0] = max(peak[0], lse._spu_queue_len)
+        return tick(lse, now)
+
+    monkeypatch.setattr(LSE, "tick", watched)
+    return lambda: peak[0]
+
+
+def count_lse_queue_waits(monkeypatch):
+    """Count the times an SPU blocks on a full LSE request queue;
+    returns a function giving the count."""
+    from repro.cell.spu import SPU
+
+    waits = [0]
+    block = SPU._block_external
+
+    def counted(spu, kind, *args, **kwargs):
+        if kind == "lse_queue":
+            waits[0] += 1
+        return block(spu, kind, *args, **kwargs)
+
+    monkeypatch.setattr(SPU, "_block_external", counted)
+    return lambda: waits[0]
+
+
+class TestBackpressure:
+    """A full LSE request queue back-pressures the SPU.
+
+    Two burst threads on two SPEs STORE into one sink frame.  The sink's
+    LSE serves its own SPU's stores and the other SPE's remote ones, so
+    its SPU-side queue fills.  A STORE first in its cycle then blocks the
+    pipeline until the LSE serves a request (the blocked path); a STORE
+    after an ALU op in the same cycle tries again next cycle (the retry
+    path).  The goldens pin both paths' timing.
+    """
+
+    def test_store_burst_hits_lse_queue_limit(self, monkeypatch):
+        """A long run of back-to-back STOREs must fill the LSE's queue
+        and surface as LSE-stall cycles, not lost stores."""
+        from repro.core.lse import LSE
+
+        peak = watch_spu_queue(monkeypatch)
+        res = run_store_burst()
+        assert peak() == LSE.SPU_QUEUE_CAPACITY
         assert res.result.stats.spus[0].breakdown.lse_stall > 0
+
+    @pytest.mark.parametrize(
+        "key, alu_ops, waits",
+        [("lse/store_burst", 0, 16), ("lse/store_alu_burst", 2, 10)],
+    )
+    def test_backpressure_bit_identical(self, key, alu_ops, waits, golden,
+                                        monkeypatch):
+        from ..integration.test_fastpath import engine_totals
+
+        counted = count_lse_queue_waits(monkeypatch)
+        res = run_store_burst(alu_ops)
+        assert counted() == waits
+        golden.check(key, {
+            "cycles": res.cycles,
+            "stats": golden.digest(dataclasses.asdict(res.result.stats)),
+            **engine_totals(res.machine.engine),
+        })

@@ -85,6 +85,14 @@ class TestPlainEquivalence:
     def test_stats_and_outputs_bit_identical(self, name, golden):
         golden.check(f"{name}/plain", _run(golden, name, MachineConfig()))
 
+    def test_bitcnt_at_2_spes_bit_identical(self, golden):
+        # The run whose Python calls test_event_cost.py counts: bitcnt's
+        # thread management, with its engine counters.
+        golden.check(
+            "bitcnt/plain2",
+            _run(golden, "bitcnt", paper_config(2), engine=True),
+        )
+
 
 class TestFaultedEquivalence:
     @pytest.mark.parametrize("name", BENCHMARKS)
