@@ -107,12 +107,16 @@ class Bus(Component):
             msg = StoreMsg(handle=msg.handle, slot=msg.slot,
                            value=msg.value, check=store_check(msg.value))
         engine = self._engine or self.engine
+        now = engine._now
         self._next_seq += 1
         self._queue.append(
             _Transfer(src.node_id if src is not None else 0, dst, msg,
-                      engine._now, self._next_seq)
+                      now, self._next_seq)
         )
-        engine.schedule(self)
+        # Engine.schedule would return at once for a tick due by next cycle.
+        at = self._scheduled_at
+        if at is None or at > now + 1:
+            engine.schedule(self)
 
     @property
     def pending(self) -> int:

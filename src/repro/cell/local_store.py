@@ -50,10 +50,14 @@ class LocalStore:
         return addr >> 2
 
     def read_word(self, addr: int) -> int:
-        return self._words[self._index(addr)]
+        if addr & 3 or not 0 <= addr < self.config.size:
+            self._index(addr)  # raises the fault
+        return self._words[addr >> 2]
 
     def write_word(self, addr: int, value: int) -> None:
-        self._words[self._index(addr)] = value
+        if addr & 3 or not 0 <= addr < self.config.size:
+            self._index(addr)  # raises the fault
+        self._words[addr >> 2] = value
 
     def write_block(self, addr: int, values: "tuple[int, ...] | list[int]") -> None:
         start = self._index(addr)

@@ -116,10 +116,11 @@ class Machine:
             dse.wire(bus=self.bus, machine=self, next_dse=nxt)
 
         # Response directory for the bus.
-        self._directory: dict[int, object] = {PPE_ID: self.ppe}
+        #: The bus endpoint of each SPE id and of the PPE.
+        self.directory: dict[int, object] = {PPE_ID: self.ppe}
         for spe in self.spes:
-            self._directory[spe.spe_id] = spe
-        self.memory.directory = self._directory
+            self.directory[spe.spe_id] = spe
+        self.memory.directory = self.directory
 
         #: Optional tracer attached to every component.
         self.tracer = None
@@ -193,9 +194,6 @@ class Machine:
     @property
     def num_nodes(self) -> int:
         return self.config.num_nodes
-
-    def endpoint_of(self, spe_id: int):
-        return self._directory[spe_id]
 
     def program_of(self, template_id: int) -> ThreadProgram:
         return self._programs[template_id]

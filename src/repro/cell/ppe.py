@@ -129,7 +129,7 @@ class PPE(Component, BusEndpoint):
     def _machine_endpoint_for(self, handle: int):
         from repro.core.frame import handle_pe
 
-        return self._machine.endpoint_of(handle_pe(handle))
+        return self._machine.directory[handle_pe(handle)]
 
     def attach_machine(self, machine) -> None:
         self._machine = machine

@@ -41,6 +41,7 @@ import enum
 import typing
 
 from repro.cell.mfc import DmaKind
+from repro.core.lse import LSE
 from repro.core.messages import ReadRequest, WriteRequest
 from repro.core.thread import ThreadInstance, ThreadState
 from repro.isa.decoded import (
@@ -65,14 +66,12 @@ from repro.isa.decoded import (
 )
 from repro.isa.instructions import Imm, Instruction, Reg
 from repro.isa.opcodes import Op
-from repro.isa.program import BlockKind
 from repro.sim.component import Component
 from repro.sim.config import MachineConfig, SPUConfig
 from repro.sim.stats import Bucket, SpuStats
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.cell.local_store import LocalStore
-    from repro.core.lse import LSE
 
 __all__ = ["SPU", "SpuFault"]
 
@@ -91,6 +90,9 @@ class _State(enum.Enum):
 #: Most cycles one tick issues ahead of the engine before it returns to
 #: it, so a loop that never exits still reaches ``max_cycles``.
 _WINDOW_CYCLES = 4096
+
+#: Scheduler ops: each is one request to the LSE.
+_LSE_OPS = frozenset({"STORE", "FALLOC", "STOP", "FFREE", "LSALLOC"})
 
 
 class SPU(Component):
@@ -269,15 +271,15 @@ class SPU(Component):
         self, until: int, bucket: str, action: tuple | None = None
     ) -> None:
         self._state = _State.TIMED
-        self._stall_start = self.now
+        self._stall_start = self._engine._now
         self._stall_bucket = bucket
         self._timed_until = until
         self._timed_action = action
-        self.wake(until)
+        self._engine.schedule(self, until)
 
     def _block_external(self, kind: str, bucket: str, rd: int | None = None) -> None:
         self._state = _State.EXTERNAL
-        self._stall_start = self.now
+        self._stall_start = self._engine._now
         self._stall_bucket = bucket
         self._ext_kind = kind
         self._ext_rd = rd
@@ -335,23 +337,24 @@ class SPU(Component):
         self.thread = thread
         self.regs[:] = self._regs_zero  # reuse the register file allocation
         self._scoreboard.clear()
-        self._dec = thread.program.decoded
-        ranges = thread.program.block_ranges
-        self._pf_end = ranges[BlockKind.PF][1] if BlockKind.PF in ranges else 0
-        if thread.program.has_prefetch and not thread.prefetch_done:
+        program = thread.program
+        self._dec = program.decoded
+        pf_end = self._pf_end = program.pf_end
+        pf = pf_end > 0 and not thread.prefetch_done
+        if pf:
             self.pc = 0
             thread.transition(ThreadState.PROGRAM_DMA)
         else:
-            self.pc = self._pf_end
+            self.pc = pf_end
             thread.transition(ThreadState.EXECUTING)
         if self._sanitizer is not None:
             self._sanitizer.thread_started(self.name, thread.tid)
         self.stats.threads_executed += 1
-        self._trace(
-            "dispatch", tid=thread.tid, template=thread.program.name,
-            resumed=thread.prefetch_done,
-            pf=thread.program.has_prefetch and not thread.prefetch_done,
-        )
+        if self._tracer is not None:
+            self._tracer.emit(
+                now, self.name, "dispatch", tid=thread.tid,
+                template=program.name, resumed=thread.prefetch_done, pf=pf,
+            )
         # Frame-pointer setup / context switch cost.
         lat = self._lse.config.request_latency
         self._block_timed(now + lat, Bucket.LSE_STALL)
@@ -428,6 +431,7 @@ class SPU(Component):
         width = self.config.issue_width
         branch_penalty = self.config.branch_taken_penalty
         ls = self.ls
+        lse = self._lse
         issue_cycles = 0
         dual_cycles = 0
         wait_cycles = 0  # branch penalties and stalls charged to `bucket`
@@ -646,6 +650,58 @@ class SPU(Component):
                             )
                         pc += 1
                         mem_used = True
+                    elif row[D_NAME] in _LSE_OPS:
+                        # Scheduler ops, like memory and DMA ops, issue
+                        # only in the engine's cycle: one request each to
+                        # the LSE, which refuses it while its queue is full.
+                        name = row[D_NAME]
+                        ar = row[D_AREG]
+                        a = regs[ar] if ar is not None else row[D_AVAL]
+                        if name == "STORE":
+                            br = row[D_BREG]
+                            accepted = lse.request(LSE.store, (
+                                a, row[D_IMM],
+                                regs[br] if br is not None else row[D_BVAL],
+                            ))
+                        elif name == "FALLOC":
+                            accepted = lse.request(LSE.falloc, (row[D_IMM], a))
+                        elif name == "STOP":
+                            accepted = lse.request(LSE.stop, (thread,))
+                        elif name == "FFREE":
+                            accepted = lse.request(LSE.ffree, (a,))
+                        else:  # LSALLOC
+                            accepted = lse.request(LSE.lsalloc, (thread, row[D_IMM]))
+                        if not accepted:
+                            if issued:
+                                break  # retry next cycle
+                            self.pc = pc
+                            self._block_external(
+                                "lse_queue", self._bucket(Bucket.LSE_STALL)
+                            )
+                            return None
+                        pc += 1
+                        if name == "STORE" or name == "FFREE":
+                            thread.side_effects = True
+                            mem_used = True
+                        else:
+                            by_opcode[name] += 1
+                            if name == "STOP":
+                                if self._tracer is not None:
+                                    self._tracer.emit(now, self.name, "thread-stop",
+                                                      tid=thread.tid)
+                                return self._next_thread(issued + 1, now, bucket)
+                            # FALLOC or LSALLOC: wait for the frame handle
+                            # or the buffer address.
+                            if name == "FALLOC":
+                                thread.side_effects = True
+                            self.pc = pc
+                            self._block_external(
+                                "value", self._bucket(Bucket.LSE_STALL),
+                                rd=row[D_RD],
+                            )
+                            self._charge_issue(issued + 1, now, bucket)
+                            self._stall_start = now + 1
+                            return None
                     elif row[D_NAME] == "READ":
                         # Memory ops, like scheduler and DMA ops, issue
                         # only in the engine's cycle.  A READ blocks the
@@ -708,37 +764,19 @@ class SPU(Component):
                         pc += 1
                         mem_used = True
                     else:
-                        # Scheduler and DMA ops: only ever in the engine's
-                        # cycle.
+                        # DMA ops: only ever in the engine's cycle.
                         self.pc = pc
-                        outcome = self._dispatch_op(
-                            thread.program.flat[pc], now, issued
-                        )
-                        if outcome == "retry":
-                            break  # structural conflict; retry next cycle
-                        if outcome == "blocked":
-                            # The op entered a timed/external wait (only
-                            # legal as the first issue of the cycle).
-                            assert issued == 0
-                            return (
-                                self._timed_until
-                                if self._state is _State.TIMED else None
-                            )
-                        pc = self.pc
-                        if outcome != "issued" or self._state is not _State.RUNNING:
+                        if self._dispatch_op(thread.program.flat[pc], now):
+                            # It issued and the pipeline now waits.
                             by_opcode[row[D_NAME]] += 1
-                            issued += 1
-                            if outcome == "stop":
-                                return self._next_thread(issued, now, bucket)
-                            # A blocking op issued and is now waiting
-                            # (FALLOC, LSALLOC, a DMA op).
-                            self._charge_issue(issued, now, bucket)
+                            self._charge_issue(issued + 1, now, bucket)
                             self._stall_start = now + 1
                             return (
                                 self._timed_until
                                 if self._state is _State.TIMED else None
                             )
-                        mem_used = True  # every delegated op takes the MEM slot
+                        pc = self.pc
+                        mem_used = True
                     by_opcode[row[D_NAME]] += 1
                     issued += 1
                     if issued == width or (pc == pf_end and open_pf):
@@ -874,62 +912,15 @@ class SPU(Component):
             return operand.value
         raise SpuFault(f"{self.name}: missing operand")
 
-    def _dispatch_op(self, instr: Instruction, now: int, issued: int) -> str:
-        """Execute the scheduler or DMA op ``instr`` if possible.
+    def _dispatch_op(self, instr: Instruction, now: int) -> bool:
+        """Execute the DMA op ``instr``; True when the pipeline now waits.
 
-        Local Store ops, READ and WRITE never come here:
-        :meth:`_issue_cycle` issues them inline from their decoded rows.
-        Returns "issued", "stop", "yielded" (issued but the pipeline is
-        now waiting), "retry" (structural conflict, nothing done) or
-        "blocked" (entered a stall; only when nothing was issued this
-        cycle).
+        Every other op issues inline from its decoded row in
+        :meth:`_issue_cycle`.
         """
         op = instr.op
         thread = self.thread
         assert thread is not None
-        assert self._lse is not None
-
-        # -- scheduler ops ------------------------------------------------------------
-        if op in (Op.STORE, Op.FFREE, Op.STOP, Op.FALLOC, Op.LSALLOC):
-            if not self._lse.spu_can_accept():
-                if issued == 0:
-                    self._block_external(
-                        "lse_queue", self._bucket(Bucket.LSE_STALL)
-                    )
-                    return "blocked"
-                return "retry"
-            if op is Op.STORE:
-                thread.side_effects = True
-                self._lse.spu_store(
-                    self._val(instr.ra), instr.imm, self._val(instr.rb)
-                )
-                self.pc += 1
-                return "issued"
-            if op is Op.FFREE:
-                thread.side_effects = True
-                self._lse.spu_ffree(self._val(instr.ra))
-                self.pc += 1
-                return "issued"
-            if op is Op.STOP:
-                self._trace("thread-stop", tid=thread.tid)
-                self._lse.spu_stop(thread)
-                self.pc += 1
-                return "stop"
-            if op is Op.FALLOC:
-                thread.side_effects = True
-                self._lse.spu_falloc(instr.imm, self._val(instr.ra))
-                self.pc += 1
-                self._block_external(
-                    "value", self._bucket(Bucket.LSE_STALL), rd=instr.rd
-                )
-                return "yielded"
-            # LSALLOC
-            self._lse.spu_lsalloc(thread, instr.imm)
-            self.pc += 1
-            self._block_external(
-                "value", self._bucket(Bucket.LSE_STALL), rd=instr.rd
-            )
-            return "yielded"
 
         # -- DMA ----------------------------------------------------------------------
         if op in (Op.DMAGET, Op.DMAGETS, Op.DMAPUT):
@@ -957,19 +948,18 @@ class SPU(Component):
                     stride,
                 ),
             )
-            return "yielded"
+            return True
         if op is Op.DMAWAIT:
+            self.pc += 1
             if self._lse.tag_outstanding(thread.tid, instr.tag):
                 self._lse.register_dma_waiter(
                     thread.tid, instr.tag, self.dma_waiter_resume
                 )
-                self.pc += 1
                 self._block_external(
                     "dmawait", self._bucket(Bucket.MEM_STALL)
                 )
-                return "yielded"
-            self.pc += 1
-            return "issued"
+                return True
+            return False
 
         raise SpuFault(f"{self.name}: unimplemented opcode {op.value}")
 

@@ -74,7 +74,7 @@ class DSE(Component):
 
     def deliver(self, msg: Message) -> None:
         self._queue.append(msg)
-        self.wake()
+        self._engine.schedule(self)
 
     # -- component ----------------------------------------------------------------
 
@@ -100,7 +100,7 @@ class DSE(Component):
             self._rr_next += 1
             return spe
         # least-loaded (ties broken by SPE id for determinism)
-        return min(self.spe_ids, key=lambda s: (self.load[s], s))
+        return min(zip(map(self.load.__getitem__, self.spe_ids), self.spe_ids))[1]
 
     def _node_full(self) -> bool:
         return all(self.load[s] >= self.frames_per_lse for s in self.spe_ids)
@@ -130,10 +130,12 @@ class DSE(Component):
         self.load[spe] += 1
         if self._m_routed is not None:
             self._m_routed.add()
-        self._trace("falloc-routed", spe=spe, requester=msg.requester_spe)
+        if self._tracer is not None:
+            self._tracer.emit(self._engine._now, self.name, "falloc-routed",
+                              spe=spe, requester=msg.requester_spe)
         self._bus.send(
             self,
-            self._machine.endpoint_of(spe),
+            self._machine.directory[spe],
             AllocFrame(
                 request_id=msg.request_id,
                 requester_spe=msg.requester_spe,

@@ -10,10 +10,14 @@ prefetch completes.
 The LSE processes one request per ``request_latency`` cycles from a FIFO
 that merges pipeline-side requests (STORE, FALLOC, LSALLOC, STOP, FFREE)
 with network messages (remote stores, AllocFrame from the DSE, FALLOC
-responses).  The pipeline-side queue is bounded: a full queue
-back-pressures the SPU, which is where bitcnt's "LSE stalls" come from
-("this benchmark is forking a vast amount of threads in a small amount of
-time and the LSE can't keep up").
+responses, remote FFREEs).  Each entry holds the handler that serves it
+and the handler's arguments: the SPU queues a request through
+:meth:`LSE.request`, naming a request handler (:meth:`LSE.store`,
+:meth:`LSE.falloc`, ...), and :meth:`LSE.deliver` maps a message to its
+handler by the message's exact type.  The pipeline-side queue is
+bounded: a full queue back-pressures the SPU, which is where bitcnt's
+"LSE stalls" come from ("this benchmark is forking a vast amount of
+threads in a small amount of time and the LSE can't keep up").
 
 Two optional features model the paper's discussion:
 
@@ -33,7 +37,7 @@ from dataclasses import asdict, dataclass
 
 from repro.cell.local_store import AllocationError, LocalStore, LSAllocator
 from repro.cell.mfc import DmaKind
-from repro.core.frame import Frame, pack_handle, unpack_handle
+from repro.core.frame import HANDLE_ADDR_BITS, Frame, pack_handle, unpack_handle
 from repro.faults.integrity import (
     WORD_BITS,
     DataCorruptionError,
@@ -126,9 +130,12 @@ class LSE(Component):
         # DMA tag tracking: (tid, tag) -> outstanding command count.
         self._dma_outstanding: dict[tuple[int, int], int] = {}
         self._dma_waiters: dict[tuple[int, int], object] = {}  # DMAWAIT resumes
-        # Request pipeline.
+        # Request pipeline: (handler, args, from_spu) entries.
         self._queue: deque[tuple] = deque()
         self._spu_queue_len = 0
+        #: True once a request found the SPU-side queue full, until the
+        #: next SPU-side request is served and tells the SPU.
+        self._spu_waits = False
         # LSALLOC requests that could not be satisfied yet.
         self._waiting_lsallocs: deque[tuple[ThreadInstance, int]] = deque()
         # Wiring (set by the SPE / machine).
@@ -179,44 +186,39 @@ class LSE(Component):
         self._sanitizer = sanitizer
         self._injector = injector
 
-    # -- queue plumbing -----------------------------------------------------
+    # -- request queue ------------------------------------------------------
 
-    def spu_can_accept(self) -> bool:
-        """Whether the pipeline-side queue has room for one more request."""
-        return self._spu_queue_len < self.SPU_QUEUE_CAPACITY
+    def request(self, handler, args: tuple) -> bool:
+        """Queue a request from this SPE's SPU.
 
-    def _push(self, item: tuple, from_spu: bool) -> None:
-        if from_spu:
-            if not self.spu_can_accept():
-                raise SchedulerError(
-                    f"{self.name}: SPU pushed into a full LSE queue"
-                )
-            self._spu_queue_len += 1
-        self._queue.append((item, from_spu))
-        self.wake()
-
-    # Pipeline-side entry points (called by the SPU; all posted except
-    # falloc/lsalloc whose responses unblock the SPU later).
-
-    def spu_store(self, handle: int, slot: int, value: int) -> None:
-        self._push(("store", handle, slot, value), from_spu=True)
-
-    def spu_falloc(self, template_id: int, sc: int) -> None:
-        self._push(("falloc", template_id, sc), from_spu=True)
-
-    def spu_lsalloc(self, thread: ThreadInstance, size: int) -> None:
-        self._push(("lsalloc", thread, size), from_spu=True)
-
-    def spu_stop(self, thread: ThreadInstance) -> None:
-        self._push(("stop", thread), from_spu=True)
-
-    def spu_ffree(self, handle: int) -> None:
-        self._push(("ffree", handle), from_spu=True)
-
-    # Network entry point (via the SPE bus endpoint).
+        ``handler`` is one of the request handlers (:meth:`store`,
+        :meth:`falloc`, :meth:`lsalloc`, :meth:`stop`, :meth:`ffree`);
+        :meth:`tick` serves it as ``handler(self, now, *args)``.  Returns
+        False, and queues nothing, while the SPU-side queue is full; the
+        SPU then learns of free space through
+        :meth:`SPU.lse_queue_drained`.
+        """
+        if self._spu_queue_len >= self.SPU_QUEUE_CAPACITY:
+            self._spu_waits = True
+            return False
+        self._spu_queue_len += 1
+        self._queue.append((handler, args, True))
+        self._engine.schedule(self)
+        return True
 
     def deliver(self, msg: Message) -> None:
-        self._push(("msg", msg), from_spu=False)
+        """Network entry point (via the SPE bus endpoint)."""
+        handler = _MESSAGE_HANDLERS.get(type(msg))
+        if handler is None:
+            raise SchedulerError(
+                f"{self.name}: unexpected message {type(msg).__name__}"
+            )
+        self._queue.append((handler, (msg,), False))
+        # Engine.schedule would return at once for a tick due by next cycle.
+        engine = self._engine
+        at = self._scheduled_at
+        if at is None or at > engine._now + 1:
+            engine.schedule(self)
 
     # MFC notifications (same SPE; no bus hop).
 
@@ -451,8 +453,10 @@ class LSE(Component):
         the way depth-first schedulers bound space — or to the back under
         "fifo".
         """
-        thread.ready_at = self.now
-        self._trace("thread-ready", tid=thread.tid, resumed=resumed)
+        now = thread.ready_at = self._engine._now
+        if self._tracer is not None:
+            self._tracer.emit(now, self.name, "thread-ready",
+                              tid=thread.tid, resumed=resumed)
         if resumed or self.config.ready_policy == "lifo":
             self._ready.appendleft(thread)
         else:
@@ -566,75 +570,26 @@ class LSE(Component):
     # -- component ---------------------------------------------------------------
 
     def tick(self, now: int) -> int | None:
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             return None
-        (item, from_spu) = self._queue.popleft()
+        handler, args, from_spu = queue.popleft()
         if from_spu:
             self._spu_queue_len -= 1
-            if self._spu is not None:
+            if self._spu_waits:
+                self._spu_waits = False
                 self._spu.lse_queue_drained()
-        self._process(item, now)
-        return now + self.config.request_latency if self._queue else None
-
-    # -- request processing ---------------------------------------------------------
-
-    def _process(self, item: tuple, now: int) -> None:
-        kind = item[0]
-        if kind == "store":
-            _, handle, slot, value = item
-            self._do_store(handle, slot, value, now)
-        elif kind == "falloc":
-            _, template_id, sc = item
-            self._do_falloc(template_id, sc)
-        elif kind == "lsalloc":
-            _, thread, size = item
-            self._do_lsalloc(thread, size)
-        elif kind == "stop":
-            self._do_stop(item[1], now)
-        elif kind == "ffree":
-            self._do_ffree(item[1])
-        elif kind == "msg":
-            self._process_msg(item[1], now)
-        else:  # pragma: no cover - defensive
-            raise SchedulerError(f"{self.name}: unknown request {kind!r}")
-
-    def _process_msg(self, msg: Message, now: int) -> None:
-        self.stats.messages += 1
-        if isinstance(msg, StoreMsg):
-            # Verify the integrity code stamped when the store entered
-            # the bus.  A single-bit error is correctable: the raw value
-            # commits (modeling read-time-checked ECC memory) and the
-            # corrected word is recorded for scrubbing at first read.
-            corrected = None
-            inj = self._injector
-            if inj is not None and inj.plan.data_active:
-                syndrome = store_syndrome(msg.value, msg.check)
-                if syndrome:
-                    if not 1 <= syndrome <= WORD_BITS:
-                        raise self._corruption_error(
-                            "frame-store", None,
-                            f"uncorrectable store syndrome {syndrome:#x} "
-                            f"(handle {msg.handle:#x}, slot {msg.slot})",
-                        )
-                    corrected = store_corrected(msg.value, syndrome)
-            self._apply_local_store(
-                msg.handle, msg.slot, msg.value, now, corrected=corrected
-            )
-        elif isinstance(msg, AllocFrame):
-            self._do_alloc_frame(msg, now)
-        elif isinstance(msg, FallocResponse):
-            # The handle for a FALLOC this SPE's SPU is blocked on.
-            self._spu.unblock(msg.handle)
-        elif isinstance(msg, FFreeMsg):
-            self._free_frame_by_handle(msg.handle)
         else:
-            raise SchedulerError(
-                f"{self.name}: unexpected message {type(msg).__name__}"
-            )
+            self.stats.messages += 1
+        handler(self, now, *args)
+        return now + self.config.request_latency if queue else None
+
+    # -- request and message handlers -------------------------------------------
+    # Each runs as ``handler(self, now, *args)`` when tick serves its entry.
 
     # FALLOC (requesting side): forward to the DSE.
 
-    def _do_falloc(self, template_id: int, sc: int) -> None:
+    def falloc(self, now: int, template_id: int, sc: int) -> None:
         self.stats.fallocs += 1
         if self._m_fallocs is not None:
             self._m_fallocs.add()
@@ -652,7 +607,7 @@ class LSE(Component):
 
     # AllocFrame (target side): create the thread here.
 
-    def _do_alloc_frame(self, msg: AllocFrame, now: int) -> None:
+    def _alloc_frame(self, now: int, msg: AllocFrame) -> None:
         if self._free_frames:
             frame = self._free_frames.popleft()
             thread = self._create_thread(msg, frame, now)
@@ -711,8 +666,10 @@ class LSE(Component):
             self._m_transitions[thread.state._value_].add()  # the birth state
         self.threads[tid] = thread
         self._machine.thread_created()
-        self._trace("thread-created", tid=tid, template=program.name,
-                    sc=msg.sc, virtual=frame is None)
+        if self._tracer is not None:
+            self._tracer.emit(now, self.name, "thread-created", tid=tid,
+                              template=program.name, sc=msg.sc,
+                              virtual=frame is None)
         if msg.sc == 0 and frame is not None:
             thread.transition(ThreadState.READY)
             self._make_ready(thread)
@@ -722,29 +679,53 @@ class LSE(Component):
         response = FallocResponse(
             request_id=msg.request_id, handle=thread.handle, tid=thread.tid
         )
-        requester = self._machine.endpoint_of(msg.requester_spe)
+        requester = self._machine.directory[msg.requester_spe]
         self._bus.send(self._endpoint, requester, response)
+
+    def _falloc_response(self, now: int, msg: FallocResponse) -> None:
+        # The handle for a FALLOC this SPE's SPU is blocked on.
+        self._spu.unblock(msg.handle)
 
     # Stores.
 
-    def _do_store(self, handle: int, slot: int, value: int, now: int) -> None:
-        pe, _ = unpack_handle(handle)
+    def store(self, now: int, handle: int, slot: int, value: int) -> None:
+        pe, addr = unpack_handle(handle)
         if pe == self.spe_id:
-            self._apply_local_store(handle, slot, value, now)
+            self._apply_local_store(addr, slot, value, now)
         else:
             self.stats.remote_stores += 1
-            target = self._machine.endpoint_of(pe)
             self._bus.send(
-                self._endpoint, target, StoreMsg(handle=handle, slot=slot, value=value)
+                self._endpoint, self._machine.directory[pe],
+                StoreMsg(handle=handle, slot=slot, value=value),
             )
 
-    def _apply_local_store(self, handle: int, slot: int, value: int, now: int,
-                           corrected: int | None = None) -> None:
-        pe, addr = unpack_handle(handle)
+    def _store_msg(self, now: int, msg: StoreMsg) -> None:
+        # Verify the integrity code stamped when the store entered the
+        # bus.  A single-bit error is correctable: the raw value commits
+        # (modeling read-time-checked ECC memory) and the corrected word
+        # is recorded for scrubbing at first read.
+        corrected = None
+        inj = self._injector
+        if inj is not None and inj.plan.data_active:
+            syndrome = store_syndrome(msg.value, msg.check)
+            if syndrome:
+                if not 1 <= syndrome <= WORD_BITS:
+                    raise self._corruption_error(
+                        "frame-store", None,
+                        f"uncorrectable store syndrome {syndrome:#x} "
+                        f"(handle {msg.handle:#x}, slot {msg.slot})",
+                    )
+                corrected = store_corrected(msg.value, syndrome)
+        # The sender checked the handle; unpack it without a call.
+        pe, addr = divmod(msg.handle, 1 << HANDLE_ADDR_BITS)
         if pe != self.spe_id:
             raise SchedulerError(
                 f"{self.name}: store for PE {pe} delivered to PE {self.spe_id}"
             )
+        self._apply_local_store(addr, msg.slot, msg.value, now, corrected)
+
+    def _apply_local_store(self, addr: int, slot: int, value: int, now: int,
+                           corrected: int | None = None) -> None:
         if addr >= VIRTUAL_BASE:
             if addr in self._virtual_redirect:
                 # The virtual frame was bound meanwhile; route to the
@@ -768,7 +749,7 @@ class LSE(Component):
                 thread.count_store()
                 return
         frame = self._frame_by_addr.get(addr)
-        if frame is None or frame.free:
+        if frame is None or frame.owner_tid is None:
             raise SchedulerError(
                 f"{self.name}: store to unallocated frame @{addr:#x}"
             )
@@ -783,7 +764,7 @@ class LSE(Component):
             self._injector.stats.frame_poisons += 1
             self._trace("data-fault", what="frame-poison",
                         tid=thread.tid, slot=slot)
-        self.ls.reserve_port(self.now)
+        self.ls.reserve_port(now)
         frame.writes += 1
         if self._sanitizer is not None:
             self._sanitizer.frame_store(self.name, thread.tid)
@@ -794,7 +775,7 @@ class LSE(Component):
 
     # LSALLOC.
 
-    def _do_lsalloc(self, thread: ThreadInstance, size: int) -> None:
+    def lsalloc(self, now: int, thread: ThreadInstance, size: int) -> None:
         try:
             addr = self.allocator.alloc(size)
         except AllocationError:
@@ -816,7 +797,7 @@ class LSE(Component):
 
     # STOP / frame release.
 
-    def _do_stop(self, thread: ThreadInstance, now: int) -> None:
+    def stop(self, now: int, thread: ThreadInstance) -> None:
         thread.transition(ThreadState.DONE)
         thread.finished_at = now
         for addr, size in thread.ls_buffers:
@@ -829,8 +810,9 @@ class LSE(Component):
             self._sanitizer.thread_done(thread.tid)
         del self.threads[thread.tid]
         self._machine.thread_completed()
-        self._trace("thread-done", tid=thread.tid,
-                    template=thread.program.name)
+        if self._tracer is not None:
+            self._tracer.emit(now, self.name, "thread-done", tid=thread.tid,
+                              template=thread.program.name)
 
     def _release_frame(self, thread: ThreadInstance) -> None:
         assert thread.frame_addr is not None
@@ -873,7 +855,7 @@ class LSE(Component):
             pending = self._pending_allocs.popleft()
             self._free_frames.append(frame)
             # Re-run the allocation path with the frame we just returned.
-            self._do_alloc_frame(pending.msg, self.now)
+            self._alloc_frame(self.now, pending.msg)
             return
         self._free_frames.append(frame)
 
@@ -901,19 +883,20 @@ class LSE(Component):
             thread.transition(ThreadState.READY)
             self._make_ready(thread)
 
-    def _do_ffree(self, handle: int) -> None:
-        pe, _ = unpack_handle(handle)
+    def ffree(self, now: int, handle: int) -> None:
+        pe, addr = unpack_handle(handle)
         if pe == self.spe_id:
-            self._free_frame_by_handle(handle)
+            self._free_frame(addr)
         else:
             self._bus.send(
-                self._endpoint,
-                self._machine.endpoint_of(pe),
+                self._endpoint, self._machine.directory[pe],
                 FFreeMsg(handle=handle),
             )
 
-    def _free_frame_by_handle(self, handle: int) -> None:
-        _, addr = unpack_handle(handle)
+    def _ffree_msg(self, now: int, msg: FFreeMsg) -> None:
+        self._free_frame(unpack_handle(msg.handle)[1])
+
+    def _free_frame(self, addr: int) -> None:
         thread = self._thread_by_frame.get(addr)
         if thread is None:
             raise SchedulerError(
@@ -945,5 +928,13 @@ class LSE(Component):
             f"{sum(self._dma_outstanding.values())} DMA cmds outstanding"
         )
 
+
+#: Network message handlers, by exact message type.
+_MESSAGE_HANDLERS = {
+    StoreMsg: LSE._store_msg,
+    AllocFrame: LSE._alloc_frame,
+    FallocResponse: LSE._falloc_response,
+    FFreeMsg: LSE._ffree_msg,
+}
 
 register_callback("lse.xp_run", LSE._xp_run)

@@ -44,20 +44,24 @@ class ThreadState(enum.Enum):
     DONE = "done"
 
 
-#: Legal state transitions (Figure 4, plus the no-PF shortcuts).
-_TRANSITIONS: dict[ThreadState, frozenset[ThreadState]] = {
-    ThreadState.WAIT_FRAME: frozenset({ThreadState.WAIT_STORES}),
-    ThreadState.WAIT_STORES: frozenset({ThreadState.READY}),
-    ThreadState.READY: frozenset({ThreadState.PROGRAM_DMA, ThreadState.EXECUTING}),
-    ThreadState.PROGRAM_DMA: frozenset(
-        {ThreadState.WAIT_DMA, ThreadState.EXECUTING, ThreadState.READY}
-    ),
-    ThreadState.WAIT_DMA: frozenset({ThreadState.READY}),
-    # EXECUTING -> READY is the data-fault recovery squash: a thread that
-    # read a poisoned frame word is pulled off the pipeline pre-commit
-    # and re-enqueued for re-execution (frame intact, SC preserved).
-    ThreadState.EXECUTING: frozenset({ThreadState.DONE, ThreadState.READY}),
-    ThreadState.DONE: frozenset(),
+#: Legal state transitions (Figure 4, plus the no-PF shortcuts), keyed by
+#: ``ThreadState._value_`` (hashing an Enum member runs Python code).
+_TRANSITIONS: dict[str, frozenset[str]] = {
+    old._value_: frozenset(new._value_ for new in news)
+    for old, news in {
+        ThreadState.WAIT_FRAME: {ThreadState.WAIT_STORES},
+        ThreadState.WAIT_STORES: {ThreadState.READY},
+        ThreadState.READY: {ThreadState.PROGRAM_DMA, ThreadState.EXECUTING},
+        ThreadState.PROGRAM_DMA: {
+            ThreadState.WAIT_DMA, ThreadState.EXECUTING, ThreadState.READY
+        },
+        ThreadState.WAIT_DMA: {ThreadState.READY},
+        # EXECUTING -> READY is the data-fault recovery squash: a thread that
+        # read a poisoned frame word is pulled off the pipeline pre-commit
+        # and re-enqueued for re-execution (frame intact, SC preserved).
+        ThreadState.EXECUTING: {ThreadState.DONE, ThreadState.READY},
+        ThreadState.DONE: set(),
+    }.items()
 }
 
 
@@ -129,7 +133,7 @@ class ThreadInstance:
     # -- transitions ------------------------------------------------------------
 
     def transition(self, new: ThreadState) -> None:
-        if new not in _TRANSITIONS[self.state]:
+        if new._value_ not in _TRANSITIONS[self.state._value_]:
             raise LifecycleError(
                 f"thread {self.tid}: illegal transition "
                 f"{self.state.value} -> {new.value}"

@@ -11,8 +11,9 @@ data.
 tuples — one row per flat instruction — holding:
 
 * a small-int dispatch ``kind``: ALU, branch, Local Store (LOAD, STOREF,
-  LLOAD, LSTORE; issued inline by the SPU) or structural (every other
-  op, which the SPU executes from the :class:`Instruction`),
+  LLOAD, LSTORE) or structural (memory, scheduler and DMA ops, which the
+  SPU issues only in the engine's cycle; DMA ops from the
+  :class:`Instruction`),
 * pre-resolved operands (register index *or* immediate value, with the
   ALU ``imm``-as-``rb`` fallback already folded in) and the raw
   instruction immediate ``imm`` (a Local Store row's frame slot or
@@ -41,11 +42,7 @@ import typing
 
 from repro.isa.opcodes import Op, Slot, spec_of
 from repro.isa.instructions import Imm, Reg
-from repro.isa.semantics import (
-    ArithmeticFault,
-    to_unsigned64,
-    wrap64,
-)
+from repro.isa.semantics import ArithmeticFault, wrap64
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.isa.program import ThreadProgram
@@ -84,7 +81,7 @@ D_IMM = 13    #: the instruction's raw immediate, or None
 K_ALU = 0
 K_BRANCH = 1
 K_LS = 2      #: LOAD, STOREF, LLOAD, LSTORE (issued inline by the SPU)
-K_STRUCT = 3  #: memory, scheduler and DMA ops (SPU._dispatch_op)
+K_STRUCT = 3  #: memory, scheduler and DMA ops (only in the engine's cycle)
 
 #: Ops that decode to K_LS rows.
 _LS_OPS = frozenset({Op.LOAD, Op.STOREF, Op.LLOAD, Op.LSTORE})
@@ -92,8 +89,10 @@ _LS_OPS = frozenset({Op.LOAD, Op.STOREF, Op.LLOAD, Op.LSTORE})
 
 # -- value functions ----------------------------------------------------------
 # One closure per opcode; semantically identical to alu_result/branch_taken
-# (pinned by tests/isa/test_decoded.py) but without the if-chain.  ADD, SUB
-# and MUL wrap to signed 64 bits inline, as wrap64 does, without the call.
+# (pinned by tests/isa/test_decoded.py) but without the if-chain.  Results
+# wrap to signed 64 bits inline, as wrap64 does, without the call; the
+# bitwise ops and SHL need no to_unsigned64 first, because their result
+# modulo 2**64 depends only on their operands modulo 2**64.
 
 _SIGN = 1 << 63
 _MASK = (1 << 64) - 1
@@ -122,24 +121,24 @@ _ALU_FN: dict[Op, typing.Callable[[int, int], int]] = {
     Op.MULI: lambda a, b: ((a * b + _SIGN) & _MASK) - _SIGN,
     Op.DIV: _div,
     Op.MOD: _mod,
-    Op.AND: lambda a, b: wrap64(to_unsigned64(a) & to_unsigned64(b)),
-    Op.ANDI: lambda a, b: wrap64(to_unsigned64(a) & to_unsigned64(b)),
-    Op.OR: lambda a, b: wrap64(to_unsigned64(a) | to_unsigned64(b)),
-    Op.ORI: lambda a, b: wrap64(to_unsigned64(a) | to_unsigned64(b)),
-    Op.XOR: lambda a, b: wrap64(to_unsigned64(a) ^ to_unsigned64(b)),
-    Op.XORI: lambda a, b: wrap64(to_unsigned64(a) ^ to_unsigned64(b)),
-    Op.SHL: lambda a, b: wrap64(to_unsigned64(a) << (b & 63)),
-    Op.SHLI: lambda a, b: wrap64(to_unsigned64(a) << (b & 63)),
-    Op.SHR: lambda a, b: wrap64(to_unsigned64(a) >> (b & 63)),
-    Op.SHRI: lambda a, b: wrap64(to_unsigned64(a) >> (b & 63)),
+    Op.AND: lambda a, b: (((a & b) + _SIGN) & _MASK) - _SIGN,
+    Op.ANDI: lambda a, b: (((a & b) + _SIGN) & _MASK) - _SIGN,
+    Op.OR: lambda a, b: (((a | b) + _SIGN) & _MASK) - _SIGN,
+    Op.ORI: lambda a, b: (((a | b) + _SIGN) & _MASK) - _SIGN,
+    Op.XOR: lambda a, b: (((a ^ b) + _SIGN) & _MASK) - _SIGN,
+    Op.XORI: lambda a, b: (((a ^ b) + _SIGN) & _MASK) - _SIGN,
+    Op.SHL: lambda a, b: (((a << (b & 63)) + _SIGN) & _MASK) - _SIGN,
+    Op.SHLI: lambda a, b: (((a << (b & 63)) + _SIGN) & _MASK) - _SIGN,
+    Op.SHR: lambda a, b: ((((a & _MASK) >> (b & 63)) + _SIGN) & _MASK) - _SIGN,
+    Op.SHRI: lambda a, b: ((((a & _MASK) >> (b & 63)) + _SIGN) & _MASK) - _SIGN,
     Op.SLT: lambda a, b: 1 if a < b else 0,
     Op.SLTI: lambda a, b: 1 if a < b else 0,
     Op.SEQ: lambda a, b: 1 if a == b else 0,
     Op.SEQI: lambda a, b: 1 if a == b else 0,
     Op.MIN: lambda a, b: min(a, b),
     Op.MAX: lambda a, b: max(a, b),
-    Op.MOV: lambda a, b: wrap64(a),
-    Op.LI: lambda a, b: wrap64(b),
+    Op.MOV: lambda a, b: ((a + _SIGN) & _MASK) - _SIGN,
+    Op.LI: lambda a, b: ((b + _SIGN) & _MASK) - _SIGN,
 }
 
 _BRANCH_FN: dict[Op, typing.Callable[[int, int], bool]] = {

@@ -108,6 +108,8 @@ class ThreadProgram:
                 ranges[kind] = (start, len(flat))
         object.__setattr__(self, "_flat", tuple(flat))
         object.__setattr__(self, "_ranges", ranges)
+        #: Where the PF block (which comes first) ends; 0 without one.
+        object.__setattr__(self, "pf_end", len(self.blocks.get(BlockKind.PF, ())))
 
     # -- views ---------------------------------------------------------------
 
@@ -159,7 +161,7 @@ class ThreadProgram:
 
     @property
     def has_prefetch(self) -> bool:
-        return BlockKind.PF in self.blocks
+        return self.pf_end > 0  # type: ignore[attr-defined]
 
     def __len__(self) -> int:
         return len(self.flat)

@@ -34,7 +34,7 @@ File format
 -----------
 Line 1 is a JSON header::
 
-    {"magic": "repro-checkpoint", "version": 1, "cycle": N,
+    {"magic": "repro-checkpoint", "version": 2, "cycle": N,
      "payload_bytes": M, "digest": "<sha256 of the payload>"}
 
 followed by exactly ``payload_bytes`` of payload: two concatenated
@@ -65,7 +65,7 @@ __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint",
            "read_header", "FORMAT_VERSION", "MAGIC"]
 
 MAGIC = "repro-checkpoint"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Machine attributes that belong to the *run harness*, not the machine
 #: state: re-initialized fresh on restore, never serialized.

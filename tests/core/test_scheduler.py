@@ -255,6 +255,23 @@ def watch_spu_queue(monkeypatch):
     return lambda: peak[0]
 
 
+def count_refused_requests(monkeypatch):
+    """Count the SPU requests an LSE refuses because its queue is full;
+    returns a function giving the count."""
+    from repro.core.lse import LSE
+
+    refused = [0]
+    request = LSE.request
+
+    def counted(lse, handler, args):
+        accepted = request(lse, handler, args)
+        refused[0] += not accepted
+        return accepted
+
+    monkeypatch.setattr(LSE, "request", counted)
+    return lambda: refused[0]
+
+
 def count_lse_queue_waits(monkeypatch):
     """Count the times an SPU blocks on a full LSE request queue;
     returns a function giving the count."""
@@ -294,16 +311,19 @@ class TestBackpressure:
         assert res.result.stats.spus[0].breakdown.lse_stall > 0
 
     @pytest.mark.parametrize(
-        "key, alu_ops, waits",
-        [("lse/store_burst", 0, 16), ("lse/store_alu_burst", 2, 10)],
+        "key, alu_ops, waits, retries",
+        [("lse/store_burst", 0, 16, 0), ("lse/store_alu_burst", 2, 10, 11)],
     )
-    def test_backpressure_bit_identical(self, key, alu_ops, waits, golden,
-                                        monkeypatch):
+    def test_backpressure_bit_identical(self, key, alu_ops, waits, retries,
+                                        golden, monkeypatch):
         from ..integration.test_fastpath import engine_totals
 
-        counted = count_lse_queue_waits(monkeypatch)
+        blocked = count_lse_queue_waits(monkeypatch)
+        refused = count_refused_requests(monkeypatch)
         res = run_store_burst(alu_ops)
-        assert counted() == waits
+        assert blocked() == waits
+        # A refusal that does not block the pipeline is a retry.
+        assert refused() - blocked() == retries
         golden.check(key, {
             "cycles": res.cycles,
             "stats": golden.digest(dataclasses.asdict(res.result.stats)),

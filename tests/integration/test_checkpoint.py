@@ -254,6 +254,39 @@ class TestAdversarialCycles:
         faults = result.stats.faults
         assert faults.frame_scrubs + faults.thread_reexecs > 0
 
+    def test_mid_lse_queue_wait(self, tmp_path):
+        # An SPU waits on its LSE's full request queue.  A checkpoint there
+        # must carry the queued (handler, args) entries and the LSE's
+        # record that the SPU waits, so the restored LSE resumes the SPU
+        # when it serves the next request.
+        from repro.core.activity import GlobalObject, TLPActivity
+        from repro.workloads.common import Workload
+
+        from ..core.test_scheduler import store_burst
+
+        templates, spawns = store_burst()
+        wl = Workload(
+            name="store_burst",
+            activity=TLPActivity(
+                name="store_burst", templates=templates,
+                globals_=[GlobalObject.zeros("out", 1)], spawns=spawns,
+            ),
+            oracle={"out": [7]},
+        )
+
+        def waits(spe):
+            return (spe.spu._state is _State.EXTERNAL
+                    and spe.spu._ext_kind == "lse_queue")
+
+        machine = _adversarial_roundtrip(
+            wl, small_config(2), tmp_path,
+            lambda m: any(waits(spe) for spe in m.spes),
+            "an SPU waiting on a full LSE queue",
+        )
+        (lse,) = [spe.lse for spe in machine.spes if waits(spe)]
+        assert lse._spu_queue_len == lse.SPU_QUEUE_CAPACITY
+        assert lse._spu_waits
+
     def test_mid_fast_forward_window(self, tmp_path):
         # An SPU running ahead parks its tick far in the future, with
         # Local Store ports booked for cycles the engine has not reached.
