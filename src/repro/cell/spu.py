@@ -375,8 +375,9 @@ class SPU(Component):
         Each pass of the loop is one cycle: up to one MEM-slot and one
         ALU-slot instruction, in program order, read from the
         pre-resolved :mod:`repro.isa.decoded` rows.  ALU, branch, Local
-        Store, READ and WRITE rows execute inline; scheduler and DMA ops
-        run through :meth:`_dispatch_op`.
+        Store, memory and scheduler rows execute inline (a scheduler op
+        is one :meth:`LSE.request`); DMA ops run through
+        :meth:`_dispatch_op`.
 
         The first cycle is the engine's.  The loop then **runs ahead**:
         it goes on to the next cycle in the same tick while that cycle
