@@ -9,9 +9,14 @@ is no production switch): ``Machine._done`` polled on every visited
 cycle, and no trigger.  Every run here must give the same cycles, stats,
 outputs and engine counters both ways.
 
+The bus and the LSE skip ``Engine.schedule`` when the component is
+already due by the next cycle; :func:`schedule_every_enqueue` restores
+the call, and the runs must agree.
+
 The host work of an unprefetched run, where every READ is a blocking
-bus/memory round trip, is counted instead of timed: Python calls per
-engine event over ``machine.run()``, against a budget.
+bus/memory round trip, and of a prefetched bitcnt run, which is mostly
+thread management, is counted instead of timed: Python calls per engine
+event over ``machine.run()``, against a budget.
 """
 
 from __future__ import annotations
@@ -21,9 +26,11 @@ import dataclasses
 import pytest
 
 from repro.bench.scale import builders
+from repro.cell.bus import Bus
 from repro.cell.machine import Machine
 from repro.compiler.passes import prefetch_transform
 from repro.core.activity import SpawnSpec, TLPActivity
+from repro.core.lse import LSE
 from repro.isa.builder import ThreadBuilder
 from repro.isa.fuzz import random_activity
 from repro.isa.program import BlockKind
@@ -183,6 +190,36 @@ class TestStopConditionReference:
         monkeypatch.setattr(Machine, "check_done", lambda machine: None)
         with pytest.raises(SimulationDeadlock):
             restored.run()
+
+
+def schedule_every_enqueue(monkeypatch):
+    """Call ``Engine.schedule`` after every bus send and LSE delivery, as
+    both did before they skipped it for a component already due by the
+    next cycle, where it returns at once: the skip must change no event."""
+    for cls, name in ((Bus, "send"), (LSE, "deliver")):
+        def always(component, *args, _enqueue=getattr(cls, name)):
+            _enqueue(component, *args)
+            component.engine.schedule(component)
+
+        monkeypatch.setattr(cls, name, always)
+
+
+class TestScheduleSkipReference:
+    @pytest.mark.parametrize("name", BENCHMARKS)
+    def test_one_bus_channel(self, name):
+        # With one channel, transfers queue behind a busy channel, so the
+        # bus is often due later than the next cycle when a send arrives.
+        config = MachineConfig()
+        config = config.replace(bus=dataclasses.replace(config.bus,
+                                                        num_buses=1))
+        make = benchmark_machine(name, config)
+        machine = make()
+        change = outcome(machine, machine.run())
+        with pytest.MonkeyPatch.context() as mp:
+            schedule_every_enqueue(mp)
+            machine = make()
+            reference = outcome(machine, machine.run())
+        assert change == reference
 
 
 #: Python calls ``machine.run()`` may make for unprefetched test-scale
