@@ -195,6 +195,24 @@ class TestCheckpointFileFormat:
         with pytest.raises(CheckpointError, match="version"):
             Machine.load_checkpoint(str(path))
 
+    def test_version_1_file_rejected_and_run_starts_fresh(self, tmp_path):
+        # Version 2 changed the LSE queue's pickled entries; a version-1
+        # file is rejected, and run_workload treats it as unusable.
+        from repro.bench.runner import run_workload
+
+        wl, result, path = _checkpointed_machine(tmp_path)
+        data = path.read_bytes()
+        head, _, payload = data.partition(b"\n")
+        header = json.loads(head)
+        header["version"] = 1
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(CheckpointError, match="version 1"):
+            Machine.load_checkpoint(str(path))
+        fresh = run_workload(wl, small_config(1), prefetch=False,
+                             restore_from=str(path))
+        assert fresh.cycles == result.cycles
+        assert fresh.stats == result.stats
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
             read_header(str(tmp_path / "absent.ckpt"))
