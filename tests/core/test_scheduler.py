@@ -193,11 +193,10 @@ class TestFFree:
             run_program(t, stores={"x": 1})
 
 
-def store_burst(bursts: int = 2, alu_ops: int = 0, stores: int = 40):
-    """Templates and spawns of ``bursts`` threads that each STORE
-    ``stores`` times into one sink frame, every STORE followed by
-    ``alu_ops`` ALU ops; the sink WRITEs 7 to ``out`` once every store
-    has arrived."""
+def store_burst(alu_ops: int = 0):
+    """Templates and spawns of two burst threads that each STORE 40 times
+    into one sink frame, every STORE followed by ``alu_ops`` ALU ops; the
+    sink WRITEs 7 to ``out`` once every store has arrived."""
     from repro.core.activity import SpawnRef
 
     burst = ThreadBuilder("burst")
@@ -206,7 +205,7 @@ def store_burst(bursts: int = 2, alu_ops: int = 0, stores: int = 40):
         burst.load("rjoin", 0)
     with burst.block(BlockKind.PS):
         burst.li("v", 1)
-        for _ in range(stores):
+        for _ in range(40):
             burst.store("rjoin", 1, "v")
             for _ in range(alu_ops):
                 burst.addi("v", "v", 1)
@@ -220,9 +219,8 @@ def store_burst(bursts: int = 2, alu_ops: int = 0, stores: int = 40):
         sink.write("rout", 0, "d")
         sink.stop()
     spawns = [SpawnSpec(template="sink", stores={0: ObjRef("out")},
-                        extra_sc=bursts * stores)]
-    spawns += [SpawnSpec(template="burst", stores={0: SpawnRef(0)})
-               for _ in range(bursts)]
+                        extra_sc=80)]
+    spawns += [SpawnSpec(template="burst", stores={0: SpawnRef(0)})] * 2
     return [burst.build(), sink.build()], spawns
 
 
