@@ -135,8 +135,9 @@ class Machine:
         self.threads_created = 0
         self.threads_completed = 0
 
-        # Checkpoint bookkeeping (harness-side; never serialized).
-        #: True when this machine was rebuilt from a checkpoint: run()
+        # Checkpoint bookkeeping (harness-side; a checkpoint saves it
+        # fresh, see __getstate__).
+        #: True when this machine was loaded from a checkpoint: run()
         #: must not re-start the watchdog/sampler (their next wakes are
         #: already in the restored heap).
         self._resumed = False
@@ -358,10 +359,18 @@ class Machine:
 
     @staticmethod
     def load_checkpoint(path: str) -> "Machine":
-        """Rebuild a checkpointed machine, ready to continue via run()."""
+        """Load a checkpointed machine, ready to continue via run()."""
         from repro.sim.snapshot import load_checkpoint
 
         return load_checkpoint(path)
+
+    def __getstate__(self) -> dict:
+        # A checkpoint is the one pickle of a machine: it loads marked as
+        # resumed, and the harness bookkeeping starts fresh.
+        state = dict(self.__dict__)
+        state.update(_resumed=True, _last_checkpoint=None, _ckpt_dir=None,
+                     _ckpt_name=None)
+        return state
 
     def _livelock_checkpoint(self) -> "str | None":
         """Watchdog hook: preserve the diagnosed state, best-effort."""

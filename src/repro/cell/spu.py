@@ -100,10 +100,6 @@ class SPU(Component):
 
     priority = 60  # tick after buses/memories/schedulers each cycle
 
-    #: ``_dec`` holds the running thread's DecodedProgram — rows carry
-    #: per-opcode closures, so it is rebuilt on restore, not serialized.
-    _SNAPSHOT_EXCLUDE = frozenset({"_dec"})
-
     def __init__(
         self,
         name: str,
@@ -963,15 +959,6 @@ class SPU(Component):
             return False
 
         raise SpuFault(f"{self.name}: unimplemented opcode {op.value}")
-
-    # -- checkpointing ---------------------------------------------------------------------------
-
-    def restore_state(self, state: dict) -> None:
-        super().restore_state(state)
-        # Re-derive the running thread's decoded rows (not serialized).
-        self._dec = (
-            self.thread.program.decoded if self.thread is not None else None
-        )
 
     # -- diagnostics -----------------------------------------------------------------------------
 

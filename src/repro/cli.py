@@ -131,8 +131,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     spec = _spec(args)
     workload = spec.workload()
     if args.compare:
-        if args.restore:
-            raise SystemExit("--restore is incompatible with --compare")
+        for flag, value in (("--restore", args.restore),
+                            ("--checkpoint-every", args.checkpoint_every)):
+            if value is not None:
+                raise SystemExit(f"{flag} is incompatible with --compare")
         pair = run_pair(workload, spec.config(args.spes),
                         options=spec.options())
         _print_run("original DTA", pair.base)
@@ -150,12 +152,29 @@ def cmd_run(args: argparse.Namespace) -> int:
             machine = Machine.load_checkpoint(args.restore)
         except CheckpointError as exc:
             raise SystemExit(f"--restore: {exc}")
-        expected = workload.activity.name
-        actual = machine._activity.name
-        if actual != expected:
+        expected = workload.activity
+        if spec.prefetch:
+            expected = prefetch_transform(expected, spec.options())
+        actual = machine._activity
+        if actual.name != expected.name:
             raise SystemExit(
-                f"--restore: checkpoint holds activity {actual!r}, but "
-                f"benchmark {args.benchmark!r} expects {expected!r}"
+                f"--restore: checkpoint holds activity {actual.name!r}, but "
+                f"benchmark {args.benchmark!r} expects {expected.name!r}"
+            )
+        config = spec.config(args.spes)
+        differ = [f.name for f in fields(config)
+                  if getattr(machine.config, f.name) != getattr(config, f.name)]
+        if differ:
+            raise SystemExit(
+                f"--restore: the checkpoint's machine differs from the "
+                f"flags in {', '.join(differ)}"
+            )
+        if list(actual.templates) != list(expected.templates):
+            variant = (f"prefetching at --threshold {spec.threshold}"
+                       if spec.prefetch else "--no-prefetch")
+            raise SystemExit(
+                f"--restore: checkpoint holds another variant of "
+                f"{expected.name!r} than the flags ask for ({variant})"
             )
         _progress(
             f"restored {args.restore} at cycle {machine.engine.now}; "

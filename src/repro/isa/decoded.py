@@ -155,13 +155,20 @@ _BRANCH_FN: dict[Op, typing.Callable[[int, int], bool]] = {
 class DecodedProgram:
     """The decoded execution table of one :class:`ThreadProgram`."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "program")
 
-    def __init__(self, rows: tuple[tuple, ...]) -> None:
+    def __init__(self, rows: tuple[tuple, ...],
+                 program: "ThreadProgram") -> None:
         self.rows = rows
+        self.program = program
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    def __reduce__(self):
+        # Rows hold per-opcode closures, so a pickle holds the program
+        # and loads its (cached) decoded table, decoded again.
+        return getattr, (self.program, "decoded")
 
 
 def _operand(operand: "Reg | Imm | None") -> tuple[int | None, int]:
@@ -173,30 +180,34 @@ def _operand(operand: "Reg | Imm | None") -> tuple[int | None, int]:
     return None, 0
 
 
+def _op_facts(op: Op) -> tuple:
+    """``(kind, value function, mnemonic, latency, MEM slot)`` of ``op``."""
+    spec = spec_of(op)
+    if spec.is_branch:
+        kind, fn = K_BRANCH, _BRANCH_FN[op]
+    elif op in _ALU_FN or op is Op.NOP:
+        kind, fn = K_ALU, _ALU_FN.get(op)  # None for NOP
+    else:
+        kind, fn = (K_LS if op in _LS_OPS else K_STRUCT), None
+    return kind, fn, op.value, spec.result_latency or 1, spec.slot is Slot.MEM
+
+
+#: The row fields an opcode alone decides, so decoding an instruction
+#: looks its opcode up once (a checkpoint load decodes running programs).
+_OP_FACTS = {op: _op_facts(op) for op in Op}
+
+
 def decode_program(program: "ThreadProgram") -> DecodedProgram:
     """Build the :class:`DecodedProgram` for ``program``."""
-    flat = program.flat
     partial: list[list] = []
-    for instr in flat:
-        op = instr.op
-        spec = spec_of(op)
+    for instr in program.flat:
+        kind, fn, name, latency, mem = _OP_FACTS[instr.op]
         a_reg, a_val = _operand(instr.ra)
-        if spec.is_branch:
-            kind = K_BRANCH
-            b_reg, b_val = _operand(instr.rb)
-            fn: typing.Callable | None = _BRANCH_FN[op]
-        elif op in _ALU_FN or op is Op.NOP:
-            kind = K_ALU
-            if instr.rb is not None:
-                b_reg, b_val = _operand(instr.rb)
-            else:
-                # ALU ops fall back to imm (or 0) for rb.
-                b_reg, b_val = None, instr.imm if instr.imm is not None else 0
-            fn = _ALU_FN.get(op)  # None for NOP
+        if kind == K_ALU and instr.rb is None:
+            # ALU ops fall back to imm (or 0) for rb.
+            b_reg, b_val = None, instr.imm if instr.imm is not None else 0
         else:
-            kind = K_LS if op in _LS_OPS else K_STRUCT
             b_reg, b_val = _operand(instr.rb)
-            fn = None
         haz: list[int] = []
         if a_reg is not None:
             haz.append(a_reg)
@@ -210,11 +221,11 @@ def decode_program(program: "ThreadProgram") -> DecodedProgram:
             b_reg, b_val,
             instr.rd,
             instr.target,
-            spec.result_latency or 1,
+            latency,
             tuple(haz),
             fn,
-            op.value,
-            spec.slot is Slot.MEM,
+            name,
+            mem,
             False,  # D_SOLO, filled below
             instr.imm,
         ])
@@ -225,4 +236,4 @@ def decode_program(program: "ThreadProgram") -> DecodedProgram:
         if row[D_KIND] in (K_ALU, K_BRANCH):
             row[D_SOLO] = not nxt[D_MEM]
 
-    return DecodedProgram(tuple(tuple(row) for row in partial))
+    return DecodedProgram(tuple(map(tuple, partial)), program)

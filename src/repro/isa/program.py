@@ -139,9 +139,9 @@ class ThreadProgram:
         return cached
 
     def __getstate__(self) -> dict:
-        # The decoded cache holds per-opcode closures, which cannot be
-        # pickled (and would bloat workload-cache keys anyway).  Drop it;
-        # it rebuilds lazily after unpickling.
+        # The decoded cache is derived: it pickles as this very program,
+        # and must not change workload-cache keys.  Drop it; it rebuilds
+        # lazily after unpickling.
         state = dict(self.__dict__)
         state.pop("_decoded", None)
         return state

@@ -34,10 +34,6 @@ class Component:
     #: Same-cycle tick ordering; lower ticks first.
     priority: int = 50
 
-    #: Attributes excluded from :meth:`snapshot_state` — derived caches a
-    #: subclass rebuilds in :meth:`restore_state` instead of serializing.
-    _SNAPSHOT_EXCLUDE: frozenset = frozenset()
-
     def __init__(self, name: str) -> None:
         self.name = name
         self._engine: "Engine | None" = None
@@ -120,26 +116,6 @@ class Component:
         never return a cycle ``<= now``.
         """
         raise NotImplementedError
-
-    # -- checkpointing -----------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Mutable state for a machine checkpoint.
-
-        The default captures the full ``__dict__`` minus
-        ``_SNAPSHOT_EXCLUDE``; the snapshot pickler maps engine/component/
-        machine references inside it to persistent IDs, so subclasses only
-        need to override when they hold state that must be *rebuilt*
-        rather than serialized (see ``SPU``).
-        """
-        exclude = self._SNAPSHOT_EXCLUDE
-        if not exclude:
-            return dict(self.__dict__)
-        return {k: v for k, v in self.__dict__.items() if k not in exclude}
-
-    def restore_state(self, state: dict) -> None:
-        """Apply a :meth:`snapshot_state` dict captured at the same cycle."""
-        self.__dict__.update(state)
 
     # -- diagnostics -------------------------------------------------------
 

@@ -53,6 +53,58 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "fibonacci"])
 
+    def test_compare_rejects_checkpoint_every(self, tmp_path):
+        # --compare runs the pair through run_pair, which would drop the
+        # checkpoint flags without a word.
+        ck = tmp_path / "ck"
+        with pytest.raises(SystemExit, match="--checkpoint-every"):
+            main(["run", "mmul", "--spes", "2", "--compare",
+                  "--checkpoint-every", "500", "--checkpoint-dir", str(ck)])
+        assert not ck.exists()
+
+
+class TestRunRestore:
+    #: The checkpointed run: unprefetched mmul at 2 SPEs.
+    ARGV = ["run", "mmul", "--spes", "2", "--no-prefetch"]
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Every RunResult the CLI prints, in order."""
+        from repro import cli
+
+        printed = []
+        monkeypatch.setattr(cli, "_print_run",
+                            lambda label, run: printed.append(run))
+        return printed
+
+    @pytest.fixture
+    def checkpoint(self, tmp_path, runs):
+        """The latest checkpoint the run left, and the run's result."""
+        assert main(self.ARGV + ["--checkpoint-every", "2000",
+                                 "--checkpoint-dir", str(tmp_path)]) == 0
+        (path,) = tmp_path.glob("*.ckpt")
+        return str(path), runs.pop()
+
+    def test_matching_restore_finishes_bit_identically(self, checkpoint,
+                                                       runs):
+        path, clean = checkpoint
+        assert main(self.ARGV + ["--restore", path]) == 0
+        (restored,) = runs
+        assert restored.cycles == clean.cycles
+        assert restored.stats == clean.stats
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--spes", "4", "--no-prefetch"],
+         "differs from the flags in num_spes"),
+        (["--spes", "2"], "another variant"),
+    ], ids=["spes", "variant"])
+    def test_restore_under_other_flags_exits_nonzero(self, checkpoint, runs,
+                                                     flags, message):
+        path, _clean = checkpoint
+        with pytest.raises(SystemExit, match=message):
+            main(["run", "mmul", *flags, "--restore", path])
+        assert runs == []
+
 
 class TestSweep:
     def test_sweep_prints_both_tables(self, capsys):

@@ -291,8 +291,8 @@ class TestAdversarialCycles:
         # An SPU running ahead parks its tick far in the future, with
         # Local Store ports booked for cycles the engine has not reached.
         # A checkpoint there must carry those bookings, restore the
-        # decoded-program cache (not serialized; rebuilt in
-        # restore_state) and resume bit-identically.
+        # decoded-program cache (not serialized; decoded again on load)
+        # and resume bit-identically.
         wl = builders("test")["mmul"]()
         cfg = small_config(2)
         machine = _adversarial_roundtrip(

@@ -16,7 +16,8 @@ the call, and the runs must agree.
 The host work of an unprefetched run, where every READ is a blocking
 bus/memory round trip, and of a prefetched bitcnt run, which is mostly
 thread management, is counted instead of timed: Python calls per engine
-event over ``machine.run()``, against a budget.
+event over ``machine.run()``, against a budget.  So is the host work of
+saving and loading a checkpoint of a mid-run machine.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.isa.fuzz import random_activity
 from repro.isa.program import BlockKind
 from repro.sim.config import MachineConfig, paper_config
 from repro.sim.engine import SimulationDeadlock
+from repro.sim.snapshot import load_checkpoint, save_checkpoint
 from repro.testing import small_config
 
 from .test_fastpath import CHAOS, engine_totals
@@ -273,4 +275,40 @@ class TestCallsPerEvent:
         assert calls <= BITCNT_CALL_BUDGET, (
             f"{calls} Python calls for {events} engine events "
             f"({calls / events:.2f} per event); budget {BITCNT_CALL_BUDGET}"
+        )
+
+
+#: Python calls one ``save_checkpoint`` and one ``load_checkpoint`` may
+#: each make for test-scale bitcnt with prefetch at 2 SPEs, checkpointed
+#: at mid-run.  When the snapshot pickler sent every object through a
+#: Python hook, the save made 87,677 calls and the load 1,910.
+CHECKPOINT_CALL_BUDGET = 500
+
+
+class TestCheckpointCalls:
+    def test_save_and_load_within_the_call_budget(self, count_calls,
+                                                  tmp_path):
+        def load():
+            machine = Machine(paper_config(2))
+            activity = builders("test")["bitcnt"]().activity
+            machine.load(prefetch_transform(activity))
+            return machine
+
+        total = load().run().cycles
+        # The run's own checkpoint keeps first-call imports and caches
+        # out of the count.
+        load().run(checkpoint_at=[total // 2], checkpoint_dir=str(tmp_path))
+        (path,) = tmp_path.glob("*.ckpt")
+        machine = load_checkpoint(str(path))
+        saves = sum(count_calls(
+            lambda: save_checkpoint(machine, str(tmp_path / "again.ckpt"))
+        ).values())
+        loads = sum(count_calls(lambda: load_checkpoint(str(path))).values())
+        assert saves <= CHECKPOINT_CALL_BUDGET, (
+            f"one save made {saves} Python calls; budget "
+            f"{CHECKPOINT_CALL_BUDGET}"
+        )
+        assert loads <= CHECKPOINT_CALL_BUDGET, (
+            f"one load made {loads} Python calls; budget "
+            f"{CHECKPOINT_CALL_BUDGET}"
         )

@@ -195,18 +195,24 @@ class TestCheckpointFileFormat:
         with pytest.raises(CheckpointError, match="version"):
             Machine.load_checkpoint(str(path))
 
-    def test_version_1_file_rejected_and_run_starts_fresh(self, tmp_path):
-        # Version 2 changed the LSE queue's pickled entries; a version-1
-        # file is rejected, and run_workload treats it as unusable.
+    @pytest.mark.parametrize("field, value, message", [
+        ("version", 1, "version 1"),
+        ("version", 2, "version 2"),
+        ("code", "0123456789abcdef", "other code"),
+    ], ids=["version-1", "version-2", "code"])
+    def test_old_or_foreign_file_runs_fresh(self, tmp_path, field, value,
+                                            message):
+        # Files of older formats, and files written by other code, are
+        # rejected, and run_workload treats them as unusable.
         from repro.bench.runner import run_workload
 
         wl, result, path = _checkpointed_machine(tmp_path)
         data = path.read_bytes()
         head, _, payload = data.partition(b"\n")
         header = json.loads(head)
-        header["version"] = 1
+        header[field] = value
         path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
-        with pytest.raises(CheckpointError, match="version 1"):
+        with pytest.raises(CheckpointError, match=message):
             Machine.load_checkpoint(str(path))
         fresh = run_workload(wl, small_config(1), prefetch=False,
                              restore_from=str(path))
