@@ -166,8 +166,9 @@ class DecodedProgram:
         return len(self.rows)
 
     def __reduce__(self):
-        # Rows hold per-opcode closures, so a pickle holds the program
-        # and loads its (cached) decoded table, decoded again.
+        # Rows hold per-opcode closures, which do not pickle: a pickle
+        # holds the program, and a load decodes it again (and caches the
+        # table on the program, as a live run does).
         return getattr, (self.program, "decoded")
 
 
