@@ -169,7 +169,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 f"--restore: the checkpoint's machine differs from the "
                 f"flags in {', '.join(differ)}"
             )
-        if list(actual.templates) != list(expected.templates):
+        if actual.templates != expected.templates:
             variant = (f"prefetching at --threshold {spec.threshold}"
                        if spec.prefetch else "--no-prefetch")
             raise SystemExit(
