@@ -10,7 +10,10 @@ plain, three chaos seeds and a recoverable data-fault plan — together
 with the hub-observed profile and the functional interpreter's final
 memory.  The unprefetched (blocking) variant is pinned plain, under
 chaos seed 1 and under the data-fault plan, and the prefetched variant
-under the LSE ablations (XP dual pipelines, virtual frame pointers).  A run under the invariant sanitizer and a run restored from a
+under the LSE ablations (XP dual pipelines, virtual frame pointers).
+Four more prefetched runs pin the DMA ops beside DMAGET (DMAGETS, DMAPUT,
+DMAWAIT) and the SPU's retry of a command its full MFC queue refused.
+A run under the invariant sanitizer and a run restored from a
 mid-run checkpoint must reproduce the plain entry exactly: neither may
 perturb the machine.
 """
@@ -23,11 +26,13 @@ import pytest
 
 from repro.bench.scale import builders
 from repro.cell.machine import Machine
-from repro.compiler.passes import prefetch_transform
+from repro.compiler.passes import PrefetchOptions, prefetch_transform
+from repro.core.lse import LSE
 from repro.isa.interpreter import run_functional
 from repro.obs.hub import HubConfig
 from repro.obs.profile import profile_workload
 from repro.sim.config import MachineConfig, paper_config
+from repro.workloads import colsum, inplace
 
 BENCHMARKS = ("bitcnt", "mmul", "zoom")
 
@@ -167,6 +172,66 @@ class TestAblationEquivalence:
             f"{name}/vfp",
             _run(golden, name, _lse_config(virtual_frame_pointers=True)),
         )
+
+
+def _dma_run(golden, workload, config: MachineConfig,
+             options: PrefetchOptions | None = None):
+    """The golden entry, engine counters included, of one prefetched run
+    of ``workload``, and the run's result."""
+    machine = Machine(config)
+    machine.load(prefetch_transform(workload.activity, options))
+    result = machine.run()
+    entry = _entry(golden, workload, machine, result)
+    entry.update(engine_totals(machine.engine))
+    return entry, result
+
+
+class TestDmaEquivalence:
+    """The DMA ops beside DMAGET, at 2 SPEs: a strided gather (DMAGETS),
+    a write-back (DMAPUT and DMAWAIT) with and without the XP pipeline,
+    and the SPU retrying a command that its full MFC queue refused."""
+
+    def test_gather_bit_identical(self, golden):
+        entry, result = _dma_run(
+            golden, colsum.build(n=8, mode="gather"), paper_config(2)
+        )
+        assert result.stats.mix.by_opcode["DMAGETS"] == 8
+        golden.check("dma/gather", entry)
+
+    @pytest.mark.parametrize("xp", (False, True))
+    def test_writeback_bit_identical(self, xp, golden, monkeypatch):
+        waits = []
+        register = LSE.register_dma_waiter
+
+        def counted(self, *args):
+            waits.append(args)
+            return register(self, *args)
+
+        monkeypatch.setattr(LSE, "register_dma_waiter", counted)
+        config = paper_config(2)
+        config = config.replace(
+            lse=dataclasses.replace(config.lse, dual_pipelines=xp)
+        )
+        entry, result = _dma_run(
+            golden, inplace.build(), config,
+            PrefetchOptions(allow_writeback=True),
+        )
+        mix = result.stats.mix.by_opcode
+        # On the XP pipeline the LSE issues the PF block's DMAGETs.
+        assert (mix["DMAGET"], mix["DMAPUT"], mix["DMAWAIT"]) == (
+            0 if xp else 8, 8, 8
+        )
+        assert len(waits) == 8  # every DMAWAIT finds its PUT in flight
+        golden.check("dma/writeback_xp" if xp else "dma/writeback", entry)
+
+    def test_mfc_retry_bit_identical(self, golden):
+        config = paper_config(2)
+        config = config.replace(
+            mfc=dataclasses.replace(config.mfc, command_queue_size=1)
+        )
+        entry, result = _dma_run(golden, builders("test")["mmul"](), config)
+        assert result.stats.mfc.queue_full_rejections == 1492
+        golden.check("dma/mfc_retry", entry)
 
 
 class TestSanitizedEquivalence:
