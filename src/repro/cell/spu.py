@@ -58,14 +58,14 @@ from repro.isa.decoded import (
     D_NAME,
     D_RD,
     D_SOLO,
+    D_STRIDE,
+    D_TAG,
     D_TARGET,
     K_ALU,
     K_BRANCH,
     K_LS,
     K_STRUCT,
 )
-from repro.isa.instructions import Imm, Instruction, Reg
-from repro.isa.opcodes import Op
 from repro.sim.component import Component
 from repro.sim.config import MachineConfig, SPUConfig
 from repro.sim.stats import Bucket, SpuStats
@@ -143,9 +143,10 @@ class SPU(Component):
         self._stall_start = 0
         self._stall_bucket = Bucket.WORKING
         self._timed_until = 0
-        #: Deferred action retried when the timed wait expires; a plain
-        #: data tuple (see _run_timed_action) so pipeline state stays
-        #: checkpoint-serializable.
+        #: The :meth:`MFC.enqueue` arguments of a DMA command the pipeline
+        #: programs when its timed wait expires, retried every cycle while
+        #: the MFC queue is full (the retry accrues in the same stall
+        #: bucket); a plain tuple, so the pipeline pickles.
         self._timed_action: tuple | None = None
         #: Destination register of the blocking external op (READ/FALLOC/
         #: LSALLOC); None for waits that produce no value.
@@ -280,21 +281,6 @@ class SPU(Component):
         self._ext_kind = kind
         self._ext_rd = rd
 
-    def _run_timed_action(self, action: tuple) -> bool:
-        """Execute a deferred timed action; True when it succeeded.
-
-        Actions are plain tuples so a TIMED pipeline snapshots cleanly;
-        the only kind today programs the MFC after the channel-interface
-        latency has been paid (retried every cycle while the queue is
-        full — the retry accrues in the same stall bucket).
-        """
-        if action[0] == "dma_enqueue":
-            _, kind, ls_addr, mem_addr, size, tag, tid, stride = action
-            return self._mfc.enqueue(
-                kind, ls_addr, mem_addr, size, tag, tid, stride=stride
-            )
-        raise SpuFault(f"{self.name}: unknown timed action {action[0]!r}")
-
     # -- component --------------------------------------------------------------------
 
     def tick(self, now: int) -> int | None:
@@ -307,7 +293,7 @@ class SPU(Component):
             self._stall_start = now
             action = self._timed_action
             if action is not None:
-                if not self._run_timed_action(action):
+                if not self._mfc.enqueue(*action):
                     # Retry next cycle, continuing to accrue the bucket.
                     self._timed_until = now + 1
                     return now + 1
@@ -370,10 +356,10 @@ class SPU(Component):
 
         Each pass of the loop is one cycle: up to one MEM-slot and one
         ALU-slot instruction, in program order, read from the
-        pre-resolved :mod:`repro.isa.decoded` rows.  ALU, branch, Local
-        Store, memory and scheduler rows execute inline (a scheduler op
-        is one :meth:`LSE.request`); DMA ops run through
-        :meth:`_dispatch_op`.
+        pre-resolved :mod:`repro.isa.decoded` rows.  Every row executes
+        inline: a scheduler op is one :meth:`LSE.request`, and a DMAGET,
+        DMAGETS or DMAPUT waits out the MFC's command latency and then
+        programs the MFC.
 
         The first cycle is the engine's.  The loop then **runs ahead**:
         it goes on to the next cycle in the same tick while that cycle
@@ -760,20 +746,51 @@ class SPU(Component):
                         )
                         pc += 1
                         mem_used = True
-                    else:
-                        # DMA ops: only ever in the engine's cycle.
-                        self.pc = pc
-                        if self._dispatch_op(thread.program.flat[pc], now):
-                            # It issued and the pipeline now waits.
-                            by_opcode[row[D_NAME]] += 1
+                    elif row[D_NAME] == "DMAWAIT":
+                        # DMA ops, like memory and scheduler ops, issue only
+                        # in the engine's cycle.  A DMAWAIT blocks while its
+                        # tag group is in flight (until dma_waiter_resume).
+                        pc += 1
+                        if lse.tag_outstanding(thread.tid, row[D_TAG]):
+                            lse.register_dma_waiter(
+                                thread.tid, row[D_TAG], self.dma_waiter_resume
+                            )
+                            self.pc = pc
+                            self._block_external(
+                                "dmawait", self._bucket(Bucket.MEM_STALL)
+                            )
+                            by_opcode["DMAWAIT"] += 1
                             self._charge_issue(issued + 1, now, bucket)
                             self._stall_start = now + 1
-                            return (
-                                self._timed_until
-                                if self._state is _State.TIMED else None
-                            )
-                        pc = self.pc
+                            return None
                         mem_used = True
+                    else:
+                        # DMAGET, DMAGETS, DMAPUT: the pipeline pays the
+                        # MFC's command latency (Prefetching time in any
+                        # block), then tick programs the MFC.
+                        name = row[D_NAME]
+                        if name == "DMAPUT" or pc >= pf_end:
+                            # PUTs mutate main memory; EX-block GETs may
+                            # observe it mid-run.  Either way the thread is
+                            # no longer replayable for data-fault recovery.
+                            thread.side_effects = True
+                        ar, br, stride = row[D_AREG], row[D_BREG], row[D_STRIDE]
+                        pc += 1
+                        self.pc = pc
+                        self._block_timed(
+                            now + self.machine_config.mfc.command_latency,
+                            Bucket.PREFETCH,
+                            (DmaKind.PUT if name == "DMAPUT" else DmaKind.GET,
+                             regs[ar] if ar is not None else row[D_AVAL],
+                             regs[br] if br is not None else row[D_BVAL],
+                             # A gather's imm counts words; None: contiguous.
+                             4 * row[D_IMM] if stride else row[D_IMM],
+                             row[D_TAG], thread.tid, stride or 4),
+                        )
+                        by_opcode[name] += 1
+                        self._charge_issue(issued + 1, now, bucket)
+                        self._stall_start = now + 1
+                        return self._timed_until
                     by_opcode[row[D_NAME]] += 1
                     issued += 1
                     if issued == width or (pc == pf_end and open_pf):
@@ -899,66 +916,6 @@ class SPU(Component):
             self._m_buckets[bucket].add(cycle, issue + wait)
         if ls_wait:
             self._m_buckets[Bucket.LS_STALL].add(cycle, ls_wait)
-
-    # -- per-opcode execution -------------------------------------------------------------------
-
-    def _val(self, operand: "Reg | Imm | None") -> int:
-        if isinstance(operand, Reg):
-            return self.regs[operand.index]
-        if isinstance(operand, Imm):
-            return operand.value
-        raise SpuFault(f"{self.name}: missing operand")
-
-    def _dispatch_op(self, instr: Instruction, now: int) -> bool:
-        """Execute the DMA op ``instr``; True when the pipeline now waits.
-
-        Every other op issues inline from its decoded row in
-        :meth:`_issue_cycle`.
-        """
-        op = instr.op
-        thread = self.thread
-        assert thread is not None
-
-        # -- DMA ----------------------------------------------------------------------
-        if op in (Op.DMAGET, Op.DMAGETS, Op.DMAPUT):
-            kind = DmaKind.PUT if op is Op.DMAPUT else DmaKind.GET
-            ls_addr = self._val(instr.ra)
-            mem_addr = self._val(instr.rb)
-            tag, tid = instr.tag, thread.tid
-            if op is Op.DMAGETS:
-                size = 4 * instr.imm  # imm counts gathered words
-                stride = instr.stride
-            else:
-                size = instr.imm
-                stride = 4
-            if kind is DmaKind.PUT or self.pc >= self._pf_end:
-                # PUTs mutate main memory; EX-block GETs may observe it
-                # mid-run.  Either way the thread is no longer replayable
-                # for data-fault recovery.  PF-block GETs stay replayable.
-                thread.side_effects = True
-            self.pc += 1
-            self._block_timed(
-                now + self.machine_config.mfc.command_latency,
-                self._bucket(Bucket.PREFETCH),
-                action=(
-                    "dma_enqueue", kind, ls_addr, mem_addr, size, tag, tid,
-                    stride,
-                ),
-            )
-            return True
-        if op is Op.DMAWAIT:
-            self.pc += 1
-            if self._lse.tag_outstanding(thread.tid, instr.tag):
-                self._lse.register_dma_waiter(
-                    thread.tid, instr.tag, self.dma_waiter_resume
-                )
-                self._block_external(
-                    "dmawait", self._bucket(Bucket.MEM_STALL)
-                )
-                return True
-            return False
-
-        raise SpuFault(f"{self.name}: unimplemented opcode {op.value}")
 
     # -- diagnostics -----------------------------------------------------------------------------
 

@@ -25,8 +25,8 @@ Two optional features model the paper's discussion:
   physical frame is free; the returned handle names a *virtual* frame
   whose stores are buffered until a physical frame binds.
 * ``dual_pipelines`` (ablation A2) — the LSE's XP pipeline executes PF
-  code blocks itself, so DMA programming overlaps thread execution and
-  the SPU never pays the prefetch overhead.
+  code blocks itself, from their decoded rows, so DMA programming
+  overlaps thread execution and the SPU never pays the prefetch overhead.
 """
 
 from __future__ import annotations
@@ -54,9 +54,19 @@ from repro.core.messages import (
     StoreMsg,
 )
 from repro.core.thread import ThreadInstance, ThreadState
-from repro.isa.opcodes import Op
-from repro.isa.program import BlockKind
-from repro.isa.semantics import alu_result
+from repro.isa.decoded import (
+    D_AREG,
+    D_AVAL,
+    D_BREG,
+    D_BVAL,
+    D_FN,
+    D_IMM,
+    D_KIND,
+    D_NAME,
+    D_RD,
+    D_TAG,
+    K_ALU,
+)
 from repro.sim.component import Component
 from repro.sim.config import LSEConfig, MachineConfig
 from repro.sim.engine import Callback, register_callback
@@ -486,45 +496,42 @@ class LSE(Component):
         thread.transition(ThreadState.PROGRAM_DMA)
         if self._sanitizer is not None:
             self._sanitizer.thread_started(self.name, thread.tid)
-        pf = thread.program.block(BlockKind.PF)
         # XP pipeline occupancy: one PF instruction per request_latency.
-        delay = max(1, len(pf) * self.config.request_latency)
+        delay = max(1, thread.program.pf_end * self.config.request_latency)
         self.engine.call_at(
             self.now + delay, Callback("lse.xp_run", self, (thread,))
         )
         return True
 
     def _xp_run(self, thread: ThreadInstance) -> None:
-        """Functionally execute the PF block on the XP pipeline."""
-        pf = thread.program.block(BlockKind.PF)
-        regs: dict[int, int] = {}
-
-        def val(operand) -> int:
-            from repro.isa.instructions import Imm, Reg
-
-            if isinstance(operand, Imm):
-                return operand.value
-            if isinstance(operand, Reg):
-                return regs.get(operand.index, 0)
-            raise SchedulerError(f"{self.name}: bad XP operand {operand!r}")
-
+        """Functionally execute the PF block's decoded rows on the XP
+        pipeline, which runs frame LOADs and STOREFs, LSALLOC, DMAGET and
+        ALU ops; any other op (DMAGETS, DMAWAIT, a branch) is a
+        :class:`SchedulerError`."""
+        program = thread.program
+        rows = program.decoded.rows[:program.pf_end]
         # First pass: check resources so the whole block applies atomically.
-        total_alloc = sum(i.imm for i in pf if i.op is Op.LSALLOC)
-        dma_count = sum(1 for i in pf if i.op in (Op.DMAGET, Op.DMAPUT))
+        total_alloc = sum(r[D_IMM] for r in rows if r[D_NAME] == "LSALLOC")
         if total_alloc and not self.allocator.can_alloc(total_alloc):
             self.engine.call_at(
                 self.now + 16, Callback("lse.xp_run", self, (thread,))
             )
             return
-        if dma_count and len(pf) and not self._mfc.queue_free:
+        if (any(r[D_NAME] == "DMAGET" for r in rows)
+                and not self._mfc.queue_free):
             self.engine.call_at(
                 self.now + 8, Callback("lse.xp_run", self, (thread,))
             )
             return
         assert thread.frame_addr is not None
-        for instr in pf:
-            if instr.op is Op.LOAD:
-                la = thread.frame_addr + 4 * instr.imm
+        regs: dict[int, int] = {}
+        for row in rows:
+            name = row[D_NAME]
+            ar, br = row[D_AREG], row[D_BREG]
+            a = regs.get(ar, 0) if ar is not None else row[D_AVAL]
+            b = regs.get(br, 0) if br is not None else row[D_BVAL]
+            if name == "LOAD":
+                la = thread.frame_addr + 4 * row[D_IMM]
                 if self._poison and la in self._poison:
                     # XP applies the PF block atomically with nothing
                     # committed yet, so a poisoned word is simply
@@ -532,34 +539,26 @@ class LSE(Component):
                     self.ls.write_word(la, self._poison.pop(la))
                     self._injector.stats.frame_scrubs += 1
                     self._trace("frame-scrub", tid=thread.tid, addr=la)
-                regs[instr.rd] = self.ls.read_word(la)
-            elif instr.op is Op.STOREF:
-                self.ls.write_word(
-                    thread.frame_addr + 4 * instr.imm, val(instr.ra)
-                )
-            elif instr.op is Op.LSALLOC:
-                addr = self.allocator.alloc(instr.imm)
-                thread.ls_buffers.append((addr, instr.imm))
-                regs[instr.rd] = addr
-            elif instr.op is Op.DMAGET:
+                regs[row[D_RD]] = self.ls.read_word(la)
+            elif name == "STOREF":
+                self.ls.write_word(thread.frame_addr + 4 * row[D_IMM], a)
+            elif name == "LSALLOC":
+                addr = self.allocator.alloc(row[D_IMM])
+                thread.ls_buffers.append((addr, row[D_IMM]))
+                regs[row[D_RD]] = addr
+            elif name == "DMAGET":
                 ok = self._mfc.enqueue(
-                    DmaKind.GET, val(instr.ra), val(instr.rb), instr.imm,
-                    instr.tag, thread.tid,
+                    DmaKind.GET, a, b, row[D_IMM], row[D_TAG], thread.tid
                 )
                 if not ok:  # pragma: no cover - pre-checked above
                     raise SchedulerError(f"{self.name}: XP hit a full MFC queue")
-            elif instr.spec.is_branch:
+            elif row[D_KIND] != K_ALU:
                 raise SchedulerError(
-                    f"{self.name}: XP pipeline cannot execute branches in PF"
+                    f"{self.name}: the XP pipeline cannot execute {name} "
+                    f"(PF block of {program.name!r})"
                 )
-            elif instr.op is Op.NOP:
-                pass
-            else:
-                a = val(instr.ra) if instr.ra is not None else 0
-                b = val(instr.rb) if instr.rb is not None else (
-                    instr.imm if instr.imm is not None else 0
-                )
-                regs[instr.rd] = alu_result(instr.op, a, b)
+            elif row[D_FN] is not None:  # None = NOP
+                regs[row[D_RD]] = row[D_FN](a, b)
         thread.prefetch_done = True
         if thread.pending_tags:
             thread.transition(ThreadState.WAIT_DMA)

@@ -12,12 +12,13 @@ tuples — one row per flat instruction — holding:
 
 * a small-int dispatch ``kind``: ALU, branch, Local Store (LOAD, STOREF,
   LLOAD, LSTORE) or structural (memory, scheduler and DMA ops, which the
-  SPU issues only in the engine's cycle; DMA ops from the
-  :class:`Instruction`),
+  SPU issues only in the engine's cycle),
 * pre-resolved operands (register index *or* immediate value, with the
-  ALU ``imm``-as-``rb`` fallback already folded in) and the raw
-  instruction immediate ``imm`` (a Local Store row's frame slot or
-  address offset),
+  ALU ``imm``-as-``rb`` fallback already folded in), the raw instruction
+  immediate ``imm`` (a Local Store row's frame slot or address offset, a
+  DMA row's size in bytes or a gather's word count) and a DMA row's tag
+  and gather stride (Table 3's command: LS address ``ra``, memory
+  address ``rb``, size, tag),
 * the value function (one tiny closure per opcode instead of the
   ``alu_result`` if-chain; ``tests/isa/test_decoded.py`` pins these to
   :func:`~repro.isa.semantics.alu_result` /
@@ -32,8 +33,11 @@ tuples — one row per flat instruction — holding:
 Rows are plain tuples indexed by the ``D_*`` constants (attribute access
 is what we are deleting from the hot path).  The decoded table attaches
 lazily to :class:`~repro.isa.program.ThreadProgram` via its ``decoded``
-property.  The functional interpreter deliberately does not use it: as
-the oracle the machine is checked against, it decodes nothing.
+property.  It is the only form in which the machine reads an
+instruction: the SPU issues every op from its row, and the LSE's XP
+pipeline runs a PF block's rows.  The functional interpreter
+deliberately does not use it: as the oracle the machine is checked
+against, it decodes nothing.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ __all__ = [
     # row field indices
     "D_KIND", "D_AREG", "D_AVAL", "D_BREG", "D_BVAL", "D_RD", "D_TARGET",
     "D_LAT", "D_HAZ", "D_FN", "D_NAME", "D_MEM", "D_SOLO", "D_IMM",
+    "D_TAG", "D_STRIDE",
     # dispatch kinds
     "K_ALU", "K_BRANCH", "K_LS", "K_STRUCT",
 ]
@@ -75,6 +80,8 @@ D_NAME = 10   #: op mnemonic (InstructionMix.by_opcode key)
 D_MEM = 11    #: True when the op occupies the MEM issue slot
 D_SOLO = 12   #: ALU/branch row whose next row needs the ALU slot too
 D_IMM = 13    #: the instruction's raw immediate, or None
+D_TAG = 14    #: DMA tag group, or None
+D_STRIDE = 15  #: DMAGETS gather stride in bytes, or None
 
 # -- dispatch kinds -----------------------------------------------------------
 
@@ -229,6 +236,8 @@ def decode_program(program: "ThreadProgram") -> DecodedProgram:
             mem,
             False,  # D_SOLO, filled below
             instr.imm,
+            instr.tag,
+            instr.stride,
         ])
 
     # A valid program ends with STOP (a MEM-slot row), so every ALU and

@@ -7,11 +7,12 @@ import dataclasses
 import pytest
 
 from repro.bench.runner import run_workload
+from repro.core.lse import SchedulerError
 from repro.sim.config import MachineConfig, paper_config
 from repro.sim.engine import SimulationDeadlock
 from repro.sim.stats import Bucket
 from repro.testing import small_config
-from repro.workloads import bitcount, matmul, zoom
+from repro.workloads import bitcount, colsum, matmul, zoom
 
 
 def lse_variant(base: MachineConfig, **changes) -> MachineConfig:
@@ -85,6 +86,14 @@ class TestDualPipelines:
         wl = matmul.build(n=4, threads=2)
         cfg = lse_variant(small_config(num_spes=1), dual_pipelines=True)
         run_workload(wl, cfg, prefetch=False)
+
+    def test_xp_rejects_a_pf_op_it_cannot_run(self):
+        # The XP pipeline runs frame LOADs and STOREFs, LSALLOC, DMAGET
+        # and ALU ops; a strided gather's DMAGETS is none of them.
+        wl = colsum.build(n=8, mode="gather")
+        cfg = lse_variant(paper_config(2), dual_pipelines=True)
+        with pytest.raises(SchedulerError, match="cannot execute DMAGETS"):
+            run_workload(wl, cfg, prefetch=True)
 
 
 class TestMultiNode:

@@ -1,15 +1,21 @@
 """Decoded-instruction tables: value functions pinned, rows faithful.
 
-The SPU issue loop (``SPU._issue_cycle``) trusts
-:mod:`repro.isa.decoded` completely, so this suite pins the decoded
-closures to the canonical semantics in :mod:`repro.isa.semantics` over a
-value grid, and checks the row fields, the ``solo`` flag included,
-against first principles.
+The machine reads instructions only as :mod:`repro.isa.decoded` rows
+(the SPU issue loop ``SPU._issue_cycle`` and the LSE's XP pipeline), so
+this suite pins the decoded closures to the canonical semantics in
+:mod:`repro.isa.semantics` over a value grid, checks the row fields, the
+``solo`` flag included, against first principles, and checks that no
+machine module reads an instruction any other way.
 """
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.isa.builder import ThreadBuilder
 from repro.isa.decoded import (
@@ -28,6 +34,8 @@ from repro.isa.decoded import (
     D_NAME,
     D_RD,
     D_SOLO,
+    D_STRIDE,
+    D_TAG,
     D_TARGET,
     K_ALU,
     K_BRANCH,
@@ -174,6 +182,32 @@ class TestRowFields:
         assert lload[D_HAZ] == (base, v)
         assert lstore[D_HAZ] == (base, v)
 
+    def test_dma_rows_carry_the_command(self):
+        b = ThreadBuilder("t")
+        with b.block(BlockKind.PF):
+            b.lsalloc("ls", 64)
+            b.li("mem", 0x1000)
+            b.dmaget("ls", "mem", 64, tag=2)
+            b.dmagets("ls", "mem", 8, tag=3, stride=32)
+            b.dmawait(3)
+        with b.block(BlockKind.PS):
+            b.dmaput("ls", "mem", 64, tag=4)
+            b.stop()
+        rows = decode_program(b.build()).rows
+        ls, mem = rows[0][D_RD], rows[1][D_RD]
+        get, gets, wait, put = rows[2:6]
+        # Table 3's command: LS address, memory address, size, tag (and
+        # the gather stride); a DMAGETS's immediate counts words.
+        for row, name in ((get, "DMAGET"), (gets, "DMAGETS"), (put, "DMAPUT")):
+            assert (row[D_KIND], row[D_NAME]) == (K_STRUCT, name)
+            assert (row[D_AREG], row[D_BREG]) == (ls, mem)
+            assert row[D_MEM]
+        assert (get[D_IMM], get[D_TAG], get[D_STRIDE]) == (64, 2, None)
+        assert (gets[D_IMM], gets[D_TAG], gets[D_STRIDE]) == (8, 3, 32)
+        assert (put[D_IMM], put[D_TAG], put[D_STRIDE]) == (64, 4, None)
+        assert (wait[D_NAME], wait[D_TAG], wait[D_AREG]) == ("DMAWAIT", 3, None)
+        assert rows[1][D_TAG] is None and rows[1][D_STRIDE] is None
+
     def test_stop_is_a_mem_slot_row(self):
         rows = decode_program(ex_program(lambda b: b.li("x", 1))).rows
         assert rows[-1][D_KIND] == K_STRUCT
@@ -258,3 +292,34 @@ class TestSoloRows:
 
         rows = decode_program(ex_program(body)).rows
         assert [r[D_SOLO] for r in rows] == [True, True, True, False, False]
+
+
+#: The modules that model instructions for the oracle: the functional
+#: interpreter executes :class:`~repro.isa.instructions.Instruction`
+#: objects through :func:`~repro.isa.semantics.alu_result`.
+ORACLE_MODULES = frozenset({
+    "repro.isa.instructions", "repro.isa.opcodes", "repro.isa.semantics",
+})
+
+
+def test_machine_reads_instructions_only_as_decoded_rows():
+    # A machine module importing an oracle module would be a second
+    # reading of instructions beside the decoded rows.
+    src = Path(repro.__file__).parent
+    imports = []
+    for package in ("cell", "core"):
+        for path in sorted((src / package).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.module:
+                    names = [node.module] + [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                imports += [
+                    f"{package}/{path.name}: {name}"
+                    for name in names if name in ORACLE_MODULES
+                ]
+    assert imports == []
