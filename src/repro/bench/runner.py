@@ -17,16 +17,17 @@ module renders into paper-style tables.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 from repro.cell.machine import Machine, RunResult
 from repro.compiler.passes import PrefetchOptions, prefetch_transform
+from repro.core.activity import TLPActivity
 from repro.sim.config import MachineConfig, paper_config
 from repro.workloads.common import Workload, check_outputs
 
-__all__ = ["PairResult", "ScalingResult", "pair_results", "run_workload",
-           "run_pair", "sweep"]
+__all__ = ["PairResult", "ScalingResult", "pair_results", "restore_mismatch",
+           "run_workload", "run_pair", "sweep"]
 
 
 @dataclass
@@ -104,6 +105,32 @@ def pair_results(
     ]
 
 
+def restore_mismatch(
+    machine: Machine, activity: TLPActivity, config: MachineConfig,
+) -> "str | None":
+    """What keeps a restored ``machine`` from continuing the run of
+    ``activity`` on ``config``, or ``None`` when it continues that run.
+
+    The activity's name, the machine config and the templates must all
+    match: a prefetched and an unprefetched run of one activity share
+    its name but not its templates.
+    """
+    actual = machine._activity
+    if actual is None:
+        return "checkpoint holds no activity"
+    if actual.name != activity.name:
+        return (f"checkpoint holds activity {actual.name!r}, not "
+                f"{activity.name!r}")
+    differ = [f.name for f in fields(config)
+              if getattr(machine.config, f.name) != getattr(config, f.name)]
+    if differ:
+        return f"the checkpoint's machine differs in {', '.join(differ)}"
+    if actual.templates != activity.templates:
+        return (f"checkpoint holds another variant of {activity.name!r} "
+                f"(other templates: another prefetch transform, or none)")
+    return None
+
+
 def run_workload(
     workload: Workload,
     config: MachineConfig,
@@ -127,9 +154,10 @@ def run_workload(
     ``checkpoint_every=N`` snapshots the machine to ``checkpoint_path``
     every N cycles (see :mod:`repro.sim.snapshot`).  ``restore_from``
     resumes a previously checkpointed machine instead of starting fresh
-    — results stay bit-identical to an uninterrupted run.  A missing,
-    corrupt or mismatched (wrong activity) restore file falls back to a
-    fresh start: a stale checkpoint must never poison a run.
+    — results stay bit-identical to an uninterrupted run.  A missing or
+    corrupt restore file, or one of another run (:func:`restore_mismatch`),
+    falls back to a fresh start: a stale checkpoint must never poison a
+    run.
     """
     from repro.sim.snapshot import CheckpointError
 
@@ -142,12 +170,8 @@ def run_workload(
             restored = Machine.load_checkpoint(restore_from)
         except CheckpointError:
             restored = None  # unusable checkpoint: start fresh
-        if (
-            restored is not None
-            and restored._activity is not None
-            and restored._activity.name == activity.name
-            and restored.config == config
-        ):
+        if (restored is not None
+                and restore_mismatch(restored, activity, config) is None):
             machine = restored
     if machine is None:
         machine = Machine(config)

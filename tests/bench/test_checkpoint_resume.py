@@ -182,6 +182,24 @@ class TestResumeFromLeftoverCheckpoint:
         assert result == ref
 
 
+class TestRestoreOfAnotherVariant:
+    def test_prefetched_run_starts_fresh_from_unprefetched_checkpoint(
+        self, tmp_path,
+    ):
+        # The prefetch transform keeps the activity's name, so only the
+        # templates tell the two variants' checkpoints apart.
+        workload, config = _workload(), small_config(1)
+        path = str(tmp_path / "base.ckpt")
+        run_workload(workload, config, prefetch=False, checkpoint_every=50,
+                     checkpoint_path=path)
+        assert os.path.exists(path)
+        fresh = run_workload(workload, config, prefetch=True)
+        resumed = run_workload(workload, config, prefetch=True,
+                               restore_from=path)
+        assert resumed.prefetch
+        assert resumed == fresh
+
+
 class TestFailureKeepsCheckpoint:
     def test_failed_task_checkpoint_kept_and_journaled(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
