@@ -74,12 +74,10 @@ class Callback:
     Replaces the opaque closures the heap used to hold: a descriptor is
     ``(kind, owner, payload)`` where ``kind`` names a registered executor,
     ``owner`` is the component (or other snapshot-addressable object) the
-    event belongs to and ``payload`` is a tuple of plain data.  Descriptors
-    support lazy cancellation: a cancelled descriptor stays in the heap
-    but is skipped (and counted as stale) at dispatch.
+    event belongs to and ``payload`` is a tuple of plain data.
     """
 
-    __slots__ = ("kind", "owner", "payload", "cancelled", "_fn")
+    __slots__ = ("kind", "owner", "payload", "_fn")
 
     def __init__(self, kind: str, owner: object, payload: tuple = ()) -> None:
         fn = _CALLBACK_KINDS.get(kind)
@@ -88,7 +86,6 @@ class Callback:
         self.kind = kind
         self.owner = owner
         self.payload = payload
-        self.cancelled = False
         #: The kind's registered executor; looked up again on unpickling,
         #: never serialized.
         self._fn = fn
@@ -102,15 +99,14 @@ class Callback:
 
     # __slots__ classes need explicit pickle support.
     def __getstate__(self) -> tuple:
-        return (self.kind, self.owner, self.payload, self.cancelled)
+        return (self.kind, self.owner, self.payload)
 
     def __setstate__(self, state: tuple) -> None:
-        self.kind, self.owner, self.payload, self.cancelled = state
+        self.kind, self.owner, self.payload = state
         self._fn = _CALLBACK_KINDS[self.kind]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        flag = " cancelled" if self.cancelled else ""
-        return f"<Callback {self.describe()}{flag}>"
+        return f"<Callback {self.describe()}>"
 
 
 class Engine:
@@ -248,17 +244,6 @@ class Engine:
         self._seq += 1
         heapq.heappush(self._heap, (cycle, -1, 0, self._seq, callback))
 
-    def cancel(self, callback: Callback) -> None:
-        """Lazily cancel a pending :class:`Callback` descriptor.
-
-        The heap entry stays behind (and is skipped at dispatch, counted
-        in ``stale_skipped``) — exactly the lazy-deletion discipline
-        superseded component ticks already use.  Idempotent.
-        """
-        if not callback.cancelled:
-            callback.cancelled = True
-            self._callbacks -= 1
-
     def stop(self) -> None:
         """End the current run after the cycle being dispatched.
 
@@ -272,13 +257,11 @@ class Engine:
 
     @staticmethod
     def _entry_live(entry: tuple) -> bool:
-        """True when a heap entry will actually dispatch (not lazily dead)."""
+        """True when a heap entry will actually dispatch: a callback, or
+        a tick that no later schedule superseded."""
         target = entry[4]
-        if isinstance(target, Component):
-            return target._scheduled_at == entry[0]
-        if isinstance(target, Callback):
-            return not target.cancelled
-        return True
+        return (not isinstance(target, Component)
+                or target._scheduled_at == entry[0])
 
     def _compact(self) -> None:
         """Drop stale heap entries and re-heapify in place."""
@@ -381,9 +364,6 @@ class Engine:
                         else:
                             self.schedule(target, nxt)
                 elif type(target) is Callback:
-                    if target.cancelled:
-                        self.stale_skipped += 1
-                        continue  # lazily-cancelled descriptor
                     self._callbacks -= 1
                     self.callbacks_dispatched += 1
                     target._fn(target.owner, *target.payload)
@@ -428,9 +408,8 @@ class Engine:
 
     def peek_events(self, limit: int = 8) -> list[str]:
         """The next ``limit`` *live* queued events, formatted, in dispatch
-        order — stale lazily-deleted ticks and cancelled callbacks are
-        filtered out so deadlock/livelock/limit reports never name dead
-        events."""
+        order — stale lazily-deleted ticks are filtered out so
+        deadlock/livelock/limit reports never name dead events."""
         # nsmallest over a filtering generator: O(n log limit) with no
         # copy of the heap, instead of the old filter-everything-and-sort
         # O(n log n) pass (peek runs inside limit-exceeded reporting and

@@ -1,5 +1,5 @@
-"""Checkpoint building blocks: callback descriptors, lazy cancellation,
-live-entry filtering and the checkpoint file format's rejection paths."""
+"""Checkpoint building blocks: callback descriptors, live-entry filtering
+and the checkpoint file format's rejection paths."""
 
 from __future__ import annotations
 
@@ -75,9 +75,7 @@ class TestCallbackDescriptors:
         r = Recorder("r")
         cb = Callback("test.record", r, (7,))
         clone = pickle.loads(pickle.dumps(cb))
-        assert (clone.kind, clone.payload, clone.cancelled) == (
-            "test.record", (7,), False
-        )
+        assert (clone.kind, clone.payload) == ("test.record", (7,))
         clone.owner.seen.clear()
         clone()
         assert clone.owner.seen == [(7,)]
@@ -87,7 +85,7 @@ class TestCallbackDescriptors:
         # kind again when the descriptor is unpickled.
         r = Recorder("r")
         cb = Callback("test.record", r, ("again",))
-        assert cb.__getstate__() == ("test.record", r, ("again",), False)
+        assert cb.__getstate__() == ("test.record", r, ("again",))
         owner, clone = pickle.loads(pickle.dumps((r, cb)))
         assert clone.owner is owner
         eng = Engine()
@@ -102,23 +100,6 @@ class TestCallbackDescriptors:
         assert cb.describe() == "test.record(mfc0)"
 
 
-class TestCancellation:
-    def test_cancelled_callback_is_skipped_not_dispatched(self):
-        eng = Engine()
-        r = eng.register(Recorder("r"))
-        cb = Callback("test.record", r, ("dead",))
-        eng.call_at(5, cb)
-        assert eng.pending_count == 1
-        eng.cancel(cb)
-        assert eng.pending_count == 0
-        eng.cancel(cb)  # idempotent
-        assert eng.pending_count == 0
-        eng.drain()
-        assert r.seen == []
-        assert eng.stale_skipped == 1
-        assert eng.callbacks_dispatched == 0
-
-
 class TestPeekEventsFiltersStale:
     def test_superseded_tick_never_named_in_reports(self):
         eng = Engine()
@@ -127,17 +108,6 @@ class TestPeekEventsFiltersStale:
         eng.schedule(r, 10)  # supersedes; cycle-50 entry goes stale
         lines = eng.peek_events(8)
         assert lines == ["cycle 10: tick victim"]
-
-    def test_cancelled_callback_never_named_in_reports(self):
-        eng = Engine()
-        r = eng.register(Recorder("r"))
-        live = Callback("test.record", r, ("live",))
-        dead = Callback("test.record", r, ("dead",))
-        eng.call_at(3, dead)
-        eng.call_at(7, live)
-        eng.cancel(dead)
-        lines = eng.peek_events(8)
-        assert lines == ["cycle 7: callback test.record(r)"]
 
     def test_peek_respects_dispatch_order_and_limit(self):
         eng = Engine()
