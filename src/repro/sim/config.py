@@ -10,8 +10,9 @@ simulator.  The defaults reproduce Tables 2, 3 and 4 of the paper:
   (the paper quotes 8.1 GB/s at 2.4 GHz for a single bus) and an MFC
   (DMA controller) with a 16-entry command queue and a 30-cycle command
   latency.
-* Table 3 is the DMA command format and lives in
-  :mod:`repro.isa.instructions` (see :class:`~repro.isa.instructions.DmaGet`).
+* Table 3 is the DMA command format (LS address, memory address, size,
+  tag): the DMA opcodes in :mod:`repro.isa.opcodes`, their rows in
+  :mod:`repro.isa.decoded`, and :meth:`repro.cell.mfc.MFC.enqueue`.
 
 Everything is a plain frozen dataclass so configurations hash, compare and
 serialize trivially, and so that an experiment can never mutate the machine
