@@ -1,6 +1,6 @@
 """The CellDTA machine model: SPEs, bus, memory, MFC, PPE, machine."""
 
-from repro.cell.bus import Bus, BusEndpoint
+from repro.cell.bus import Bus
 from repro.cell.local_store import (
     AllocationError,
     LocalStore,
@@ -19,7 +19,6 @@ __all__ = [
     "RunResult",
     "run_activity",
     "Bus",
-    "BusEndpoint",
     "MainMemory",
     "MemoryFault",
     "LocalStore",

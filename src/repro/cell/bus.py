@@ -7,11 +7,9 @@ fixed arbitration latency; queued transfers are granted to free channels
 in FIFO order, which approximates the EIB's round-robin arbitration while
 staying deterministic.
 
-Endpoints are any object with a ``deliver(msg)`` method and a ``node_id``
-attribute; transfers whose source and destination sit on different DTA
-nodes pay the configured inter-node latency on top (paper Sec. 2: "the
-communication between nodes is slower as we rely on a more complex
-interconnection network").
+An endpoint is any object with a ``deliver(msg)`` method.  The machine
+is one DTA node (paper Sec. 4.1), so no transfer crosses a node
+boundary.
 """
 
 from __future__ import annotations
@@ -26,22 +24,12 @@ from repro.sim.config import BusConfig
 from repro.sim.engine import Callback, register_callback
 from repro.sim.stats import BusStats
 
-__all__ = ["Bus", "BusEndpoint"]
-
-
-class BusEndpoint:
-    """Mixin giving a component a bus address."""
-
-    node_id: int = 0
-
-    def deliver(self, msg: Message) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
+__all__ = ["Bus"]
 
 
 @dataclass(slots=True)
 class _Transfer:
-    src_node: int
-    dst: BusEndpoint
+    dst: object  # the endpoint: anything with deliver(msg)
     msg: Message
     enqueued_at: int
     #: Per-bus sequence number; makes delivery idempotent under injected
@@ -58,12 +46,10 @@ class Bus(Component):
         self,
         name: str,
         config: BusConfig,
-        inter_node_latency: int = 0,
         stats: BusStats | None = None,
     ) -> None:
         super().__init__(name)
         self.config = config
-        self.inter_node_latency = inter_node_latency
         self.stats = stats if stats is not None else BusStats()
         self._queue: deque[_Transfer] = deque()
         #: Cycle each channel becomes free.
@@ -91,12 +77,8 @@ class Bus(Component):
 
     # -- API ------------------------------------------------------------------
 
-    def send(self, src: "BusEndpoint | None", dst: BusEndpoint, msg: Message) -> None:
-        """Enqueue ``msg`` for delivery to ``dst``.
-
-        ``src`` may be ``None`` for host-originated traffic (treated as
-        node 0).
-        """
+    def send(self, dst, msg: Message) -> None:
+        """Enqueue ``msg`` for delivery to the endpoint ``dst``."""
         inj = self._injector
         if (inj is not None and inj.plan.data_active
                 and type(msg) is StoreMsg):
@@ -109,10 +91,7 @@ class Bus(Component):
         engine = self._engine or self.engine
         now = engine._now
         self._next_seq += 1
-        self._queue.append(
-            _Transfer(src.node_id if src is not None else 0, dst, msg,
-                      now, self._next_seq)
-        )
+        self._queue.append(_Transfer(dst, msg, now, self._next_seq))
         # Engine.schedule would return at once for a tick due by next cycle.
         at = self._scheduled_at
         if at is None or at > now + 1:
@@ -141,8 +120,6 @@ class Bus(Component):
             size = t.msg.size_bytes
             cycles = max(1, -(-size // config.bytes_per_cycle))
             finish = now + config.arbitration_latency + cycles
-            if t.src_node != t.dst.node_id:
-                finish += self.inter_node_latency
             channel_free[ch] = now + cycles  # channel is pipelined past
             stats.transfers += 1
             stats.bytes_moved += size

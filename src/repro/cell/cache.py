@@ -79,12 +79,10 @@ class DataCache(Component):
         self._pending_fill: "tuple[int, object, int] | None" = None
         self._bus = None
         self._memory: "MainMemory | None" = None
-        self._endpoint = None
 
-    def wire(self, bus, memory, endpoint) -> None:
+    def wire(self, bus, memory) -> None:
         self._bus = bus
         self._memory = memory
-        self._endpoint = endpoint
 
     # -- indexing -----------------------------------------------------------
 
@@ -148,7 +146,6 @@ class DataCache(Component):
         line_base = addr - (addr % self.config.line_bytes)
         self._pending_fill = (line_base, on_value, addr)
         self._bus.send(
-            self._endpoint,
             self._memory,
             CacheFillRequest(
                 addr=line_base,

@@ -1,8 +1,8 @@
 """The assembled CellDTA machine.
 
-``Machine`` builds the full system of the paper's Sec. 4.1: N SPEs (SPU +
-LS + MFC + LSE each), one DSE per node, the PPE, the element interconnect
-bus and main memory, wired together and clocked by one event-skipping
+``Machine`` builds the full system of the paper's Sec. 4.1, one DTA
+node: N SPEs (SPU + LS + MFC + LSE each), the DSE, the PPE, the element
+interconnect bus and main memory, wired together and clocked by one event-skipping
 engine.  ``Machine.run`` executes one loaded TLP activity to completion
 and returns a :class:`RunResult` with the cycle count, the Figure 5 / 9
 statistics and the Table 5 instruction mix.
@@ -66,9 +66,7 @@ class Machine:
         )
         #: Opt-in invariant cross-checker shared by all components.
         self.sanitizer = Sanitizer() if config.sanitize else None
-        self.bus = Bus(
-            "bus", config.bus, config.inter_node_latency, self.bus_stats
-        )
+        self.bus = Bus("bus", config.bus, self.bus_stats)
         self.memory = MainMemory("memory", config.main_memory, self.memory_stats)
         self.engine.register(self.bus)
         self.engine.register(self.memory)
@@ -76,20 +74,13 @@ class Machine:
         self.bus.attach_faults(self.injector, self.sanitizer)
         self.memory.attach_faults(self.injector)
 
-        # DSEs (one per node) with a forwarding ring when multi-node.
+        # The one DSE; hub counters and trace events name it dse0.
         self.dse_stats = SchedulerStats()
-        self.dses: list[DSE] = []
-        for node in range(config.num_nodes):
-            dse = DSE(
-                f"dse{node}",
-                node_id=node,
-                spe_ids=config.spes_of_node(node),
-                config=config.dse,
-                frames_per_lse=config.lse.num_frames,
-                stats=self.dse_stats,
-            )
-            self.engine.register(dse)
-            self.dses.append(dse)
+        self.dse = DSE(
+            "dse0", list(range(config.num_spes)), config.dse, self.dse_stats
+        )
+        self.engine.register(self.dse)
+        self.dse.wire(bus=self.bus, machine=self)
 
         # SPEs.
         self.spes: list[SPE] = [SPE(i, config) for i in range(config.num_spes)]
@@ -98,7 +89,7 @@ class Machine:
             spe.wire(
                 bus=self.bus,
                 memory=self.memory,
-                dse=self.dses[spe.node_id],
+                dse=self.dse,
                 machine=self,
                 injector=self.injector,
                 sanitizer=self.sanitizer,
@@ -107,13 +98,8 @@ class Machine:
         # PPE.
         self.ppe = PPE()
         self.engine.register(self.ppe)
-        self.ppe.wire(bus=self.bus, dse=self.dses[0])
+        self.ppe.wire(bus=self.bus, dse=self.dse)
         self.ppe.attach_machine(self)
-
-        # DSE wiring (ring for multi-node forwarding).
-        for i, dse in enumerate(self.dses):
-            nxt = self.dses[(i + 1) % len(self.dses)] if len(self.dses) > 1 else None
-            dse.wire(bus=self.bus, machine=self, next_dse=nxt)
 
         # Response directory for the bus.
         #: The bus endpoint of each SPE id and of the PPE.
@@ -191,10 +177,6 @@ class Machine:
         self.engine.register(self.sampler)
 
     # -- services used by components --------------------------------------------
-
-    @property
-    def num_nodes(self) -> int:
-        return self.config.num_nodes
 
     def program_of(self, template_id: int) -> ThreadProgram:
         return self._programs[template_id]

@@ -111,8 +111,6 @@ class MainMemory(Component):
 
     # -- bus endpoint -------------------------------------------------------------
 
-    node_id = 0
-
     def deliver(self, msg: Message) -> None:
         engine = self._engine or self.engine
         self._queue.append((msg, engine._now))
@@ -176,7 +174,7 @@ class MainMemory(Component):
 
     def _send(self, endpoint, msg: Message) -> None:
         """Put a finished response on the bus (deferred by ``call_at``)."""
-        self._bus.send(self, endpoint, msg)
+        self._bus.send(endpoint, msg)
 
     def _serve(self, msg: Message, now: int) -> None:
         """Serve every request but a scalar READ (:meth:`tick` does those)."""
@@ -194,7 +192,7 @@ class MainMemory(Component):
                     now + extra, Callback("memory.send", self, (endpoint, ack))
                 )
             else:
-                self._bus.send(self, endpoint, ack)
+                self._bus.send(endpoint, ack)
         elif isinstance(msg, DmaReadRequest):
             self.stats.read_requests += 1
             self.stats.bytes_read += msg.size

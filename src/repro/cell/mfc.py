@@ -113,7 +113,6 @@ class MFC(Component):
         self._bus = None
         self._memory = None
         self._lse = None
-        self._endpoint = None  # the SPE bus endpoint responses return to
         self._injector = None  # optional FaultInjector
         self._sanitizer = None  # optional Sanitizer
 
@@ -124,12 +123,10 @@ class MFC(Component):
         self._g_inflight = hub.gauge(f"{prefix}.inflight_bytes")
         self._m_refetches = hub.counter(f"{prefix}.refetches")
 
-    def wire(self, bus, memory, lse, endpoint, injector=None,
-             sanitizer=None) -> None:
+    def wire(self, bus, memory, lse, injector=None, sanitizer=None) -> None:
         self._bus = bus
         self._memory = memory
         self._lse = lse
-        self._endpoint = endpoint
         self._injector = injector
         self._sanitizer = sanitizer
 
@@ -260,7 +257,7 @@ class MFC(Component):
         """
         inj = self._injector
         if inj is None:
-            self._bus.send(self._endpoint, self._memory, msg)
+            self._bus.send(self._memory, msg)
             return
         if inj.dma_chunk_fails(self.name):
             if attempt < inj.plan.dma_max_retries:
@@ -284,11 +281,11 @@ class MFC(Component):
                 self.now + delay, Callback("mfc.send", self, (msg,))
             )
         else:
-            self._bus.send(self._endpoint, self._memory, msg)
+            self._bus.send(self._memory, msg)
 
     def _send_chunk(self, msg) -> None:
         """Dispatch a fault-delayed chunk request onto the bus."""
-        self._bus.send(self._endpoint, self._memory, msg)
+        self._bus.send(self._memory, msg)
 
     def _fallback_chunk(self, cmd: DmaCommand, msg) -> None:
         """Retries exhausted: the DMA engine gives up on this chunk and the

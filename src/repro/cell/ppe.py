@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import typing
 
-from repro.cell.bus import BusEndpoint
 from repro.core.messages import FallocRequest, FallocResponse, Message, StoreMsg
 from repro.sim.component import Component
 
@@ -28,11 +27,10 @@ PPE_ID = -1
 _ISSUE_LATENCY = 4
 
 
-class PPE(Component, BusEndpoint):
+class PPE(Component):
     """Initiates TLP activities and then gets out of the way."""
 
     priority = 55
-    node_id = 0
 
     def __init__(self, name: str = "ppe") -> None:
         Component.__init__(self, name)
@@ -96,7 +94,7 @@ class PPE(Component, BusEndpoint):
             slot, value = self._pending_stores.pop(0)
             assert self._handle is not None
             self._bus.send(
-                self, self._machine_endpoint_for(self._handle),
+                self._machine_endpoint_for(self._handle),
                 StoreMsg(handle=self._handle, slot=slot, value=value),
             )
             self._machine.check_done()
@@ -115,7 +113,7 @@ class PPE(Component, BusEndpoint):
             self._trace("root-spawn", template=spawn.template,
                         index=self._spawn_index - 1)
             self._bus.send(
-                self, self._dse,
+                self._dse,
                 FallocRequest(
                     request_id=(PPE_ID & 0xFF) << 24 | self._seq,
                     requester_spe=PPE_ID,

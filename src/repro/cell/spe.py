@@ -9,7 +9,6 @@ the right sub-unit.
 
 from __future__ import annotations
 
-from repro.cell.bus import BusEndpoint
 from repro.cell.cache import CacheStats, DataCache
 from repro.cell.local_store import LocalStore
 from repro.cell.mfc import MFC
@@ -35,12 +34,11 @@ __all__ = ["SPE"]
 _LSE_MESSAGES = frozenset({StoreMsg, AllocFrame, FallocResponse, FFreeMsg})
 
 
-class SPE(BusEndpoint):
+class SPE:
     """One synergistic processing element."""
 
     def __init__(self, spe_id: int, config: MachineConfig) -> None:
         self.spe_id = spe_id
-        self.node_id = config.node_of(spe_id)
         self.config = config
         self.ls = LocalStore(config.local_store)
         self.spu_stats = SpuStats()
@@ -70,14 +68,14 @@ class SPE(BusEndpoint):
     def wire(self, bus, memory, dse, machine, injector=None,
              sanitizer=None) -> None:
         self.spu.wire(lse=self.lse, mfc=self.mfc, bus=bus, memory=memory,
-                      endpoint=self, cache=self.cache,
-                      injector=injector, sanitizer=sanitizer)
-        self.mfc.wire(bus=bus, memory=memory, lse=self.lse, endpoint=self,
+                      cache=self.cache, injector=injector,
+                      sanitizer=sanitizer)
+        self.mfc.wire(bus=bus, memory=memory, lse=self.lse,
                       injector=injector, sanitizer=sanitizer)
         if self.cache is not None:
-            self.cache.wire(bus=bus, memory=memory, endpoint=self)
+            self.cache.wire(bus=bus, memory=memory)
         self.lse.wire(bus=bus, dse=dse, spu=self.spu, mfc=self.mfc,
-                      endpoint=self, machine=machine, sanitizer=sanitizer,
+                      machine=machine, sanitizer=sanitizer,
                       injector=injector)
 
     # -- bus endpoint routing -----------------------------------------------
@@ -101,4 +99,4 @@ class SPE(BusEndpoint):
             )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<SPE {self.spe_id} node={self.node_id}>"
+        return f"<SPE {self.spe_id}>"

@@ -120,7 +120,6 @@ class SPU(Component):
         self._mfc = None
         self._bus = None
         self._memory = None
-        self._endpoint = None
         self._cache = None
         self._sanitizer = None  # optional Sanitizer
         #: True only when a data-corrupting fault plan is active: every
@@ -170,13 +169,12 @@ class SPU(Component):
         self._m_issue_cycles = hub.counter(f"{prefix}.issue_cycles")
         self._m_dual_issue = hub.counter(f"{prefix}.dual_issue_cycles")
 
-    def wire(self, lse, mfc, bus, memory, endpoint, cache=None,
-             injector=None, sanitizer=None) -> None:
+    def wire(self, lse, mfc, bus, memory, cache=None, injector=None,
+             sanitizer=None) -> None:
         self._lse = lse
         self._mfc = mfc
         self._bus = bus
         self._memory = memory
-        self._endpoint = endpoint
         self._cache = cache
         self._sanitizer = sanitizer
         self._check_loads = (
@@ -411,7 +409,6 @@ class SPU(Component):
         regs = self.regs
         sb = self._scoreboard
         by_opcode = self.stats.mix.by_opcode
-        width = self.config.issue_width
         branch_penalty = self.config.branch_taken_penalty
         ls = self.ls
         lse = self._lse
@@ -516,47 +513,43 @@ class SPU(Component):
                     # scheduler or DMA op there, or a Local Store op that
                     # another component could see or change first, hands
                     # the whole cycle back to the engine.
-                    if kind >= K_LS:
-                        mem = row
-                    else:
-                        mem = rows[pc + 1] if width > 1 else None
-                    if mem is not None:
-                        if mem[D_KIND] == K_STRUCT:
-                            break
-                        if ls_ahead is None:
-                            # While the MFC is idle only the LSE can touch
-                            # the Local Store before this SPU does, and
-                            # only this SPU's DMA ops (issued in the
-                            # engine's cycle) or the XP pipeline can feed
-                            # the MFC.
-                            ls_ahead = not (
-                                self._check_loads
-                                or self._lse.config.dual_pipelines
-                                or self._mfc.outstanding_commands
+                    mem = row if kind >= K_LS else rows[pc + 1]
+                    if mem[D_KIND] == K_STRUCT:
+                        break
+                    if ls_ahead is None:
+                        # While the MFC is idle only the LSE can touch
+                        # the Local Store before this SPU does, and
+                        # only this SPU's DMA ops (issued in the
+                        # engine's cycle) or the XP pipeline can feed
+                        # the MFC.
+                        ls_ahead = not (
+                            self._check_loads
+                            or self._lse.config.dual_pipelines
+                            or self._mfc.outstanding_commands
+                        )
+                    if not ls_ahead:
+                        break
+                    if ls.ports_booked(now) + 1 >= ls.config.ports:
+                        break  # the LSE may book one more this cycle
+                    name = mem[D_NAME]
+                    if name == "LLOAD" or name == "LSTORE":
+                        ar = mem[D_AREG]
+                        if ar is None:
+                            base = mem[D_AVAL]
+                        elif mem is not row and ar == row[D_RD]:
+                            # A latency-1 ALU op pairs with the LLOAD
+                            # or LSTORE that reads its result.
+                            xr, yr = row[D_AREG], row[D_BREG]
+                            base = row[D_FN](
+                                regs[xr] if xr is not None
+                                else row[D_AVAL],
+                                regs[yr] if yr is not None
+                                else row[D_BVAL],
                             )
-                        if not ls_ahead:
-                            break
-                        if ls.ports_booked(now) + 1 >= ls.config.ports:
-                            break  # the LSE may book one more this cycle
-                        name = mem[D_NAME]
-                        if name == "LLOAD" or name == "LSTORE":
-                            ar = mem[D_AREG]
-                            if ar is None:
-                                base = mem[D_AVAL]
-                            elif mem is not row and ar == row[D_RD]:
-                                # A latency-1 ALU op pairs with the LLOAD
-                                # or LSTORE that reads its result.
-                                xr, yr = row[D_AREG], row[D_BREG]
-                                base = row[D_FN](
-                                    regs[xr] if xr is not None
-                                    else row[D_AVAL],
-                                    regs[yr] if yr is not None
-                                    else row[D_BVAL],
-                                )
-                            else:
-                                base = regs[ar]
-                            if base + mem[D_IMM] < ls.config.frame_region:
-                                break  # frame memory: the LSE writes there
+                        else:
+                            base = regs[ar]
+                        if base + mem[D_IMM] < ls.config.frame_region:
+                            break  # frame memory: the LSE writes there
                 mem_used = False
                 alu_used = False
                 while True:
@@ -710,7 +703,7 @@ class SPU(Component):
                             self._cache.read(addr, on_value=self.unblock)
                         else:
                             self._bus.send(
-                                self._endpoint, self._memory,
+                                self._memory,
                                 ReadRequest(addr=addr, reply_key=0,
                                             requester_spe=self.spe_id),
                             )
@@ -740,7 +733,7 @@ class SPU(Component):
                         if self._cache is not None:
                             self._cache.write(addr, value)  # write-through
                         self._bus.send(
-                            self._endpoint, self._memory,
+                            self._memory,
                             WriteRequest(addr=addr, value=value,
                                          requester_spe=self.spe_id),
                         )
@@ -793,7 +786,7 @@ class SPU(Component):
                         return self._timed_until
                     by_opcode[row[D_NAME]] += 1
                     issued += 1
-                    if issued == width or (pc == pf_end and open_pf):
+                    if issued == 2 or (pc == pf_end and open_pf):
                         break
                     # The next row issues in this cycle too if its slot is
                     # free and no register it names has a pending write.

@@ -375,7 +375,6 @@ def cmd_info(args: argparse.Namespace) -> int:
     cfg = spec.config(args.spes)
     rows = [
         ["SPEs", cfg.num_spes],
-        ["nodes", cfg.num_nodes],
         ["main memory", f"{cfg.main_memory.size // 2**20} MB, "
                         f"{cfg.main_memory.latency} cycles, "
                         f"{cfg.main_memory.ports} port(s)"],
@@ -386,10 +385,8 @@ def cmd_info(args: argparse.Namespace) -> int:
         ["MFC", f"queue {cfg.mfc.command_queue_size}, "
                 f"command latency {cfg.mfc.command_latency} cycles"],
         ["LSE", f"{cfg.lse.num_frames} frames x "
-                f"{cfg.lse.frame_size_words} words, "
-                f"ready policy {cfg.lse.ready_policy}"],
-        ["SPU", f"issue width {cfg.spu.issue_width}, "
-                f"branch penalty {cfg.spu.branch_taken_penalty}"],
+                f"{cfg.lse.frame_size_words} words"],
+        ["SPU", f"dual issue, branch penalty {cfg.spu.branch_taken_penalty}"],
     ]
     if spec.faults:
         rows.append(["faults", cfg.faults.describe()])

@@ -64,8 +64,6 @@ class FallocRequest(Message):
     requester_spe: int
     template_id: int
     sc: int
-    #: How many DSE->DSE forwards this request has taken (wire-delay model).
-    hops: int = 0
 
 
 @dataclass(frozen=True, slots=True)

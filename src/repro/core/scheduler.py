@@ -2,10 +2,10 @@
 
 The DTA *Distributed Scheduler* (paper Sec. 2: "DSEs from all nodes,
 together with all LSEs, constitute the (hardware) Distributed Scheduler")
-is physically spread over every SPE and node.  This module provides the
-aggregate view of it — a :class:`SchedulerSnapshot` capturing, at one
-instant, every LSE's frame occupancy, ready-queue depth, live threads by
-state, DMA tags in flight and the DSEs' load estimates.
+is physically spread over every SPE.  This module provides the aggregate
+view of it — a :class:`SchedulerSnapshot` capturing, at one instant,
+every LSE's frame occupancy, ready-queue depth, live threads by state,
+DMA tags in flight and the DSE's load estimates.
 
 Snapshots power debugging (they render compactly), tests (asserting
 system-wide invariants like "every live thread is tracked by exactly one
@@ -48,9 +48,8 @@ class LSEView:
 
 @dataclass(frozen=True)
 class DSEView:
-    """One DSE's load estimates at the capture instant."""
+    """The DSE's load estimates at the capture instant."""
 
-    node_id: int
     load: dict[int, int]
     queued_requests: int
 
@@ -61,7 +60,7 @@ class SchedulerSnapshot:
 
     cycle: int
     lses: tuple[LSEView, ...]
-    dses: tuple[DSEView, ...]
+    dse: DSEView
     threads_created: int
     threads_completed: int
 
@@ -89,18 +88,11 @@ class SchedulerSnapshot:
                     prefetch_bytes_allocated=lse.allocator.allocated_bytes,
                 )
             )
-        dses = [
-            DSEView(
-                node_id=dse.node_id,
-                load=dict(dse.load),
-                queued_requests=len(dse._queue),
-            )
-            for dse in machine.dses
-        ]
+        dse = machine.dse
         return SchedulerSnapshot(
             cycle=machine.engine.now,
             lses=tuple(lses),
-            dses=tuple(dses),
+            dse=DSEView(load=dict(dse.load), queued_requests=len(dse._queue)),
             threads_created=machine.threads_created,
             threads_completed=machine.threads_completed,
         )
@@ -161,6 +153,5 @@ class SchedulerSnapshot:
                 f"dma {v.dma_commands_outstanding}, "
                 f"heap {v.prefetch_bytes_allocated}B"
             )
-        for d in self.dses:
-            lines.append(f"  dse{d.node_id}: load {d.load}")
+        lines.append(f"  dse: load {self.dse.load}")
         return "\n".join(lines)

@@ -143,8 +143,6 @@ class MFCConfig:
     command_latency: int = 30
     #: Largest single bus transfer the MFC issues; bigger DMAs are split.
     max_transfer_size: int = 128
-    #: Number of DMA tag groups available to software.
-    num_tags: int = 32
 
     def __post_init__(self) -> None:
         if self.command_queue_size < 1:
@@ -159,8 +157,6 @@ class MFCConfig:
             raise ValueError(
                 f"MFC max transfer must be >= {WORD_SIZE}, got {self.max_transfer_size}"
             )
-        if self.num_tags < 1:
-            raise ValueError(f"MFC needs >= 1 tag, got {self.num_tags}")
 
 
 @dataclass(frozen=True)
@@ -208,14 +204,13 @@ class CacheConfig:
 class SPUConfig:
     """Synergistic Processing Unit pipeline model.
 
-    The SPU is an in-order, dual-issue core: at most one memory-class and
-    one compute/control-class instruction issue per cycle, in program
-    order, with no branch prediction, caches or reorder buffer.
+    The SPU is an in-order, dual-issue core (paper: "two instructions in
+    each cycle (one memory and one calculation)"): at most one
+    memory-class and one compute/control-class instruction issue per
+    cycle, in program order, with no branch prediction, caches or reorder
+    buffer.
     """
 
-    #: Maximum instructions issued per cycle (paper: "two instructions in
-    #: each cycle (one memory and one calculation)").
-    issue_width: int = 2
     #: Extra cycles charged when a branch is taken (no branch prediction).
     branch_taken_penalty: int = 3
     #: Architectural register count.
@@ -224,8 +219,6 @@ class SPUConfig:
     store_queue_size: int = 8
 
     def __post_init__(self) -> None:
-        if self.issue_width not in (1, 2):
-            raise ValueError(f"issue width must be 1 or 2, got {self.issue_width}")
         if self.branch_taken_penalty < 0:
             raise ValueError(
                 f"branch penalty must be >= 0, got {self.branch_taken_penalty}"
@@ -261,10 +254,6 @@ class LSEConfig:
     virtual_frame_pointers: bool = False
     #: Pending FALLOCs a virtual-frame LSE may hold beyond physical frames.
     virtual_frame_depth: int = 256
-    #: Ready-queue discipline: "lifo" (depth-first; newest ready thread
-    #: runs first, bounding the live frames of fork trees the way
-    #: depth-first schedulers bound space) or "fifo" (oldest first).
-    ready_policy: str = "lifo"
 
     def __post_init__(self) -> None:
         if self.num_frames < 1:
@@ -281,8 +270,6 @@ class LSEConfig:
             raise ValueError(
                 f"virtual frame depth must be >= 1, got {self.virtual_frame_depth}"
             )
-        if self.ready_policy not in ("lifo", "fifo"):
-            raise ValueError(f"unknown ready policy {self.ready_policy!r}")
 
     @property
     def frame_size_bytes(self) -> int:
@@ -291,20 +278,16 @@ class LSEConfig:
 
 @dataclass(frozen=True)
 class DSEConfig:
-    """Distributed Scheduler Element (one per node)."""
+    """Distributed Scheduler Element (one per machine)."""
 
     #: Cycles the DSE needs to process one request.
     request_latency: int = 2
-    #: Workload distribution policy: "least-loaded" or "round-robin".
-    policy: str = "least-loaded"
 
     def __post_init__(self) -> None:
         if self.request_latency < 1:
             raise ValueError(
                 f"DSE request latency must be >= 1, got {self.request_latency}"
             )
-        if self.policy not in ("least-loaded", "round-robin"):
-            raise ValueError(f"unknown DSE policy {self.policy!r}")
 
 
 @dataclass(frozen=True)
@@ -339,14 +322,10 @@ class WatchdogConfig:
 
 @dataclass(frozen=True)
 class MachineConfig:
-    """Complete CellDTA machine description."""
+    """Complete CellDTA machine description: one DTA node (Sec. 4.1)."""
 
     #: Number of SPEs (paper sweeps 1..8).
     num_spes: int = 8
-    #: Number of DTA nodes; SPEs are split evenly across nodes.
-    num_nodes: int = 1
-    #: Extra latency (cycles) for messages that cross a node boundary.
-    inter_node_latency: int = 20
     main_memory: MainMemoryConfig = field(default_factory=MainMemoryConfig)
     local_store: LocalStoreConfig = field(default_factory=LocalStoreConfig)
     bus: BusConfig = field(default_factory=BusConfig)
@@ -364,16 +343,6 @@ class MachineConfig:
     def __post_init__(self) -> None:
         if self.num_spes < 1:
             raise ValueError(f"need >= 1 SPE, got {self.num_spes}")
-        if self.num_nodes < 1:
-            raise ValueError(f"need >= 1 node, got {self.num_nodes}")
-        if self.num_nodes > self.num_spes:
-            raise ValueError(
-                f"cannot spread {self.num_spes} SPEs over {self.num_nodes} nodes"
-            )
-        if self.inter_node_latency < 0:
-            raise ValueError(
-                f"inter-node latency must be >= 0, got {self.inter_node_latency}"
-            )
         frame_bytes = self.lse.num_frames * self.lse.frame_size_bytes
         if frame_bytes > self.local_store.frame_region:
             raise ValueError(
@@ -402,26 +371,10 @@ class MachineConfig:
             faults = FaultPlan.parse(faults)
         return self.replace(faults=faults)
 
-    def node_of(self, spe_id: int) -> int:
-        """Node index hosting SPE ``spe_id`` (even block partition)."""
-        if not 0 <= spe_id < self.num_spes:
-            raise ValueError(f"SPE id {spe_id} out of range 0..{self.num_spes - 1}")
-        per_node = -(-self.num_spes // self.num_nodes)  # ceil division
-        return spe_id // per_node
 
-    def spes_of_node(self, node_id: int) -> list[int]:
-        """SPE indices hosted by node ``node_id``."""
-        if not 0 <= node_id < self.num_nodes:
-            raise ValueError(f"node id {node_id} out of range 0..{self.num_nodes - 1}")
-        return [s for s in range(self.num_spes) if self.node_of(s) == node_id]
-
-
-def cached_config(num_spes: int = 8, **cache_overrides) -> MachineConfig:
+def cached_config(num_spes: int = 8) -> MachineConfig:
     """The paper's machine plus an enabled per-SPE data cache (A8)."""
-    base = MachineConfig(num_spes=num_spes)
-    return base.replace(
-        cache=dataclasses.replace(base.cache, enabled=True, **cache_overrides)
-    )
+    return MachineConfig(num_spes=num_spes, cache=CacheConfig(enabled=True))
 
 
 def paper_config(num_spes: int = 8) -> MachineConfig:

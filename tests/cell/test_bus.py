@@ -1,16 +1,15 @@
-"""Interconnect bus: timing, arbitration, inter-node latency, stats."""
+"""Interconnect bus: timing, arbitration, stats."""
 
 from __future__ import annotations
 
-from repro.cell.bus import Bus, BusEndpoint
+from repro.cell.bus import Bus
 from repro.core.messages import Message, StoreMsg
 from repro.sim.config import BusConfig
 from repro.sim.engine import Engine
 
 
-class Sink(BusEndpoint):
-    def __init__(self, node_id: int = 0) -> None:
-        self.node_id = node_id
+class Sink:
+    def __init__(self) -> None:
         self.received: list[tuple[int, Message]] = []
         self.engine: Engine | None = None
 
@@ -21,10 +20,7 @@ class Sink(BusEndpoint):
 
 def make_bus(**kw):
     eng = Engine()
-    cfg = BusConfig(**{k: v for k, v in kw.items() if k != "inter_node"})
-    bus = eng.register(
-        Bus("bus", cfg, inter_node_latency=kw.get("inter_node", 0))
-    )
+    bus = eng.register(Bus("bus", BusConfig(**kw)))
     return eng, bus
 
 
@@ -37,7 +33,7 @@ class TestTiming:
         eng, bus = make_bus(num_buses=1, bytes_per_cycle=8)
         sink = Sink()
         sink.engine = eng
-        bus.send(None, sink, msg())  # 16 B -> 2 cycles + 1 arb
+        bus.send(sink, msg())  # 16 B -> 2 cycles + 1 arb
         eng.drain()
         # Granted at cycle 1 (first tick), finish = 1 + 1 + 2 = 4.
         assert sink.received[0][0] == 4
@@ -47,7 +43,7 @@ class TestTiming:
         sink = Sink()
         sink.engine = eng
         for _ in range(2):
-            bus.send(None, sink, msg())
+            bus.send(sink, msg())
         eng.drain()
         t1, t2 = (t for t, _ in sink.received)
         assert t1 == t2  # both granted in the same cycle
@@ -57,26 +53,11 @@ class TestTiming:
         sink = Sink()
         sink.engine = eng
         for _ in range(3):
-            bus.send(None, sink, msg())
+            bus.send(sink, msg())
         eng.drain()
         times = [t for t, _ in sink.received]
         assert times == sorted(times)
         assert len(set(times)) == 3  # 2-cycle occupancy each
-
-    def test_inter_node_latency_added(self):
-        eng, bus = make_bus(num_buses=1, bytes_per_cycle=8, inter_node=20)
-        near, far = Sink(node_id=0), Sink(node_id=1)
-        near.engine = far.engine = eng
-        src = Sink(node_id=0)
-        bus.send(src, near, msg())
-        eng.drain()
-        t_near = near.received[0][0]
-        eng2, bus2 = make_bus(num_buses=1, bytes_per_cycle=8, inter_node=20)
-        far.engine = eng2
-        bus2.send(src, far, msg())
-        eng2.drain()
-        t_far = far.received[0][0]
-        assert t_far == t_near + 20
 
 
 class TestStats:
@@ -85,7 +66,7 @@ class TestStats:
         sink = Sink()
         sink.engine = eng
         for _ in range(5):
-            bus.send(None, sink, msg())
+            bus.send(sink, msg())
         eng.drain()
         assert bus.stats.transfers == 5
         assert bus.stats.bytes_moved == 5 * 16
@@ -95,7 +76,7 @@ class TestStats:
         sink = Sink()
         sink.engine = eng
         for _ in range(4):
-            bus.send(None, sink, msg())
+            bus.send(sink, msg())
         eng.drain()
         assert bus.stats.queue_wait_cycles > 0
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cell.bus import Bus, BusEndpoint
+from repro.cell.bus import Bus
 from repro.cell.main_memory import MainMemory, MemoryFault
 from repro.core.messages import (
     DmaReadRequest,
@@ -20,9 +20,7 @@ from repro.sim.config import BusConfig, MainMemoryConfig
 from repro.sim.engine import Engine
 
 
-class Requester(BusEndpoint):
-    node_id = 0
-
+class Requester:
     def __init__(self, eng: Engine) -> None:
         self.eng = eng
         self.received: list[tuple[int, Message]] = []

@@ -114,27 +114,13 @@ class TestSPERouting:
         spe.deliver(StoreMsg(handle=0, slot=0, value=1))
         assert len(spe.lse._queue) == before + 1
 
-    def test_node_id_follows_config(self):
-        cfg = small_config(num_spes=4).replace(num_nodes=2)
-        spes = [SPE(i, cfg) for i in range(4)]
-        assert [s.node_id for s in spes] == [0, 0, 1, 1]
-
 
 class TestDSEUnit:
-    def test_round_robin_cycles(self):
-        from repro.core.dse import DSE
-        from repro.sim.config import DSEConfig
-
-        dse = DSE("d", 0, [0, 1, 2], DSEConfig(policy="round-robin"),
-                  frames_per_lse=8)
-        picks = [dse._pick_spe() for _ in range(6)]
-        assert picks == [0, 1, 2, 0, 1, 2]
-
     def test_least_loaded_prefers_idle(self):
         from repro.core.dse import DSE
         from repro.sim.config import DSEConfig
 
-        dse = DSE("d", 0, [0, 1], DSEConfig(), frames_per_lse=8)
+        dse = DSE("d", [0, 1], DSEConfig())
         dse.load[0] = 5
         assert dse._pick_spe() == 1
 
@@ -142,21 +128,12 @@ class TestDSEUnit:
         from repro.core.dse import DSE
         from repro.sim.config import DSEConfig
 
-        dse = DSE("d", 0, [3, 1, 2], DSEConfig(), frames_per_lse=8)
+        dse = DSE("d", [3, 1, 2], DSEConfig())
         assert dse._pick_spe() == 1
-
-    def test_node_full_detection(self):
-        from repro.core.dse import DSE
-        from repro.sim.config import DSEConfig
-
-        dse = DSE("d", 0, [0, 1], DSEConfig(), frames_per_lse=2)
-        assert not dse._node_full()
-        dse.load[0] = dse.load[1] = 2
-        assert dse._node_full()
 
     def test_empty_spe_list_rejected(self):
         from repro.core.dse import DSE
         from repro.sim.config import DSEConfig
 
         with pytest.raises(ValueError):
-            DSE("d", 0, [], DSEConfig(), frames_per_lse=2)
+            DSE("d", [], DSEConfig())

@@ -118,29 +118,6 @@ class TestForkJoin:
         assert res.result.stats.scheduler.remote_stores > 0
 
 
-class TestRoundRobinPolicy:
-    def test_round_robin_distributes_cyclically(self):
-        from repro.core.activity import SpawnRef
-
-        cfg = small_config(num_spes=4)
-        cfg = cfg.replace(dse=dataclasses.replace(cfg.dse, policy="round-robin"))
-        root, worker, join = fork_join_activity(workers=8)
-        res = run_templates(
-            templates=[root.build(), worker.build(), join.build()],
-            spawns=[
-                SpawnSpec(template="join", stores={0: ObjRef("out")},
-                          extra_sc=8),
-                SpawnSpec(template="root",
-                          stores={0: ObjRef("out"), 1: SpawnRef(0)}),
-            ],
-            globals_=[GlobalObject.zeros("out", 1)],
-            config=cfg,
-        )
-        assert res.word("out") == 1
-        executed = [s.spu_stats.threads_executed for s in res.machine.spes]
-        assert all(e > 0 for e in executed)
-
-
 class TestFFree:
     def test_explicit_ffree_of_own_frame(self):
         """A thread may FFREE its own frame in PS; STOP must not double-free."""

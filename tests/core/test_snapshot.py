@@ -76,4 +76,4 @@ class TestCapture:
         m.load(matmul.build(n=4, threads=2).activity)
         m.run()
         text = SchedulerSnapshot.capture(m).format()
-        assert "lse0" in text and "dse0" in text and "done" in text
+        assert "lse0" in text and "dse: load" in text and "done" in text

@@ -8,13 +8,11 @@ import pytest
 
 from repro.sim.config import (
     BusConfig,
-    DSEConfig,
     LocalStoreConfig,
     LSEConfig,
     MachineConfig,
     MainMemoryConfig,
     MFCConfig,
-    SPUConfig,
     latency1_config,
     paper_config,
 )
@@ -62,10 +60,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             MachineConfig(num_spes=0)
 
-    def test_rejects_more_nodes_than_spes(self):
-        with pytest.raises(ValueError):
-            MachineConfig(num_spes=2, num_nodes=3)
-
     def test_rejects_negative_latency(self):
         with pytest.raises(ValueError):
             MainMemoryConfig(latency=0)
@@ -82,18 +76,6 @@ class TestValidation:
         lse = LSEConfig(num_frames=4096, frame_size_words=32)
         with pytest.raises(ValueError, match="frame region"):
             MachineConfig(lse=lse)
-
-    def test_rejects_bad_issue_width(self):
-        with pytest.raises(ValueError):
-            SPUConfig(issue_width=3)
-
-    def test_rejects_bad_dse_policy(self):
-        with pytest.raises(ValueError):
-            DSEConfig(policy="random")
-
-    def test_rejects_bad_ready_policy(self):
-        with pytest.raises(ValueError):
-            LSEConfig(ready_policy="priority")
 
     def test_rejects_tiny_mfc_transfer(self):
         with pytest.raises(ValueError):
@@ -131,30 +113,3 @@ class TestDerivation:
         hash(cfg)
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.num_spes = 4  # type: ignore[misc]
-
-
-class TestNodePartition:
-    def test_single_node(self):
-        cfg = MachineConfig(num_spes=8, num_nodes=1)
-        assert all(cfg.node_of(i) == 0 for i in range(8))
-        assert cfg.spes_of_node(0) == list(range(8))
-
-    def test_two_nodes(self):
-        cfg = MachineConfig(num_spes=8, num_nodes=2)
-        assert cfg.spes_of_node(0) == [0, 1, 2, 3]
-        assert cfg.spes_of_node(1) == [4, 5, 6, 7]
-
-    def test_uneven_partition_covers_all(self):
-        cfg = MachineConfig(num_spes=7, num_nodes=3)
-        seen = []
-        for node in range(3):
-            seen.extend(cfg.spes_of_node(node))
-        assert sorted(seen) == list(range(7))
-
-    def test_node_of_out_of_range(self):
-        with pytest.raises(ValueError):
-            MachineConfig(num_spes=4).node_of(4)
-
-    def test_spes_of_node_out_of_range(self):
-        with pytest.raises(ValueError):
-            MachineConfig(num_spes=4).spes_of_node(1)

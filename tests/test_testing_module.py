@@ -29,9 +29,9 @@ class TestSmallConfig:
         assert small_config().num_spes == 1
 
     def test_overrides_pass_through(self):
-        cfg = small_config(num_spes=2, inter_node_latency=5)
+        cfg = small_config(num_spes=2, sanitize=True)
         assert cfg.num_spes == 2
-        assert cfg.inter_node_latency == 5
+        assert cfg.sanitize
 
 
 class TestRunProgram:
