@@ -24,9 +24,14 @@ from repro.bench.runner import run_workload
 from repro.bench.scale import builders
 from repro.cell.machine import Machine
 from repro.compiler.passes import prefetch_transform
+from repro.core.activity import GlobalObject, ObjRef, SpawnSpec, TLPActivity
 from repro.faults import DataCorruptionError
 from repro.faults.plan import FaultPlan, FaultPlanError
+from repro.isa.builder import ThreadBuilder
+from repro.isa.program import BlockKind
+from repro.obs.trace import Tracer
 from repro.sim.config import MachineConfig
+from repro.testing import small_config
 
 BENCHMARKS = ("bitcnt", "mmul", "zoom")
 SEEDS = (1, 2, 3)
@@ -183,6 +188,62 @@ class TestDataFaultRecovery:
         assert isinstance(err.fault_stats, dict)
         assert err.fault_stats["data_flips"] > 0
         assert "unrecoverable data corruption" in str(err)
+
+    @staticmethod
+    def long_pf_block() -> TLPActivity:
+        """One thread whose PF block DMAs four words and then runs 300
+        NOPs, far longer than the transfer takes to land."""
+        b = ThreadBuilder("t")
+        b.slot("out"), b.slot("src"), b.slot("bufp")
+        with b.block(BlockKind.PF):
+            b.load("rsrc", "src")
+            b.lsalloc("buf", 16)
+            b.dmaget("buf", "rsrc", 16, tag=1)
+            for _ in range(300):
+                b.nop()
+            b.storef("bufp", "buf")
+        with b.block(BlockKind.PL):
+            b.load("rout", "out")
+            b.load("rbuf", "bufp")
+        with b.block(BlockKind.EX):
+            b.lload("v", "rbuf", 12)
+            b.write("rout", 0, "v")
+            b.stop()
+        return TLPActivity(
+            name="t", templates=[b.build()],
+            globals_=[GlobalObject.zeros("out", 4),
+                      GlobalObject("src", (5, 6, 7, 8))],
+            spawns=[SpawnSpec(template="t", stores={
+                0: ObjRef("out"), 1: ObjRef("src"),
+            })],
+        )
+
+    def test_corrupt_transfer_squashes_a_thread_still_in_its_pf_block(self):
+        # With no re-fetch budget the corrupt transfer retires its tag
+        # while the thread still runs its PF block, so the squash waits
+        # until the SPU hands the thread back at the block's end
+        # (LSE.thread_wait_dma): the SPU yields with no tag pending, in
+        # the cycle the thread is re-executed.
+        def run(config):
+            machine = Machine(config)
+            tracer = Tracer()
+            machine.attach_tracer(tracer)
+            machine.load(self.long_pf_block())
+            result = machine.run()
+            events = [(e.cycle, e.kind, e.fields) for e in tracer.events
+                      if e.kind in ("thread-reexec", "yield-dma")]
+            return machine.read_global("out"), result, events
+
+        clean, _, clean_events = run(small_config())
+        assert clean == [8, 0, 0, 0] and clean_events == []
+        out, result, events = run(small_config().with_faults(
+            "seed=2,data_flip=0.5,data_max_refetches=0"))
+        assert out == clean
+        assert result.stats.faults.thread_reexecs == 1
+        (reexec_cycle, _, reexec), (yield_cycle, _, yielded) = events
+        assert reexec == {"tid": 0, "attempt": 1, "cause": "dma-transfer"}
+        assert yielded == {"tid": 0, "tags": []}
+        assert reexec_cycle == yield_cycle
 
     def test_recovery_counters_exported(self):
         from repro.bench.export import run_to_dict
