@@ -20,6 +20,10 @@ from repro.sim.config import LocalStoreConfig
 
 __all__ = ["LocalStore", "LSAllocator", "LocalStoreFault", "AllocationError"]
 
+#: Cycles whose port bookings :meth:`LocalStore.reserve_port` keeps before
+#: it drops those of past cycles.
+PORT_HISTORY = 4096
+
 
 class LocalStoreFault(RuntimeError):
     """An out-of-range or misaligned Local Store access."""
@@ -84,7 +88,7 @@ class LocalStore:
         if used >= self.config.ports:
             return False
         self._ports_used[cycle] = used + 1
-        if len(self._ports_used) > 4096:
+        if len(self._ports_used) > PORT_HISTORY:
             self._ports_used = {
                 c: n for c, n in self._ports_used.items() if c >= cycle
             }

@@ -40,6 +40,7 @@ from __future__ import annotations
 import enum
 import typing
 
+from repro.cell import units
 from repro.cell.mfc import DmaKind
 from repro.core.lse import LSE
 from repro.core.messages import ReadRequest, WriteRequest
@@ -91,6 +92,13 @@ class _State(enum.Enum):
 #: it, so a loop that never exits still reaches ``max_cycles``.
 _WINDOW_CYCLES = 4096
 
+#: Most issue cycles one run-ahead unit covers before it chains to the
+#: next (a loop's passes count once).
+_UNIT_ISSUES = 64
+
+#: Ops whose zero divisor the interpreter raises on.
+_DIVIDES = frozenset({"DIV", "MOD"})
+
 #: Scheduler ops: each is one request to the LSE.
 _LSE_OPS = frozenset({"STORE", "FALLOC", "STOP", "FFREE", "LSALLOC"})
 
@@ -137,6 +145,14 @@ class SPU(Component):
         #: The running thread's DecodedProgram (None when idle).
         self._dec = None
         self._regs_zero = [0] * config.num_registers
+        #: What a run-ahead unit's code embeds besides the rows (see
+        #: repro.cell.units): LS ports, frame region, size and latency,
+        #: and the taken-branch penalty.
+        ls_config = local_store.config
+        self._unit_config = (
+            ls_config.ports, ls_config.frame_region, ls_config.size,
+            ls_config.latency, config.branch_taken_penalty,
+        )
         # Pipeline control.
         self._state = _State.IDLE
         self._stall_start = 0
@@ -372,6 +388,15 @@ class SPU(Component):
         advances ``now`` in place.  docs/PERFORMANCE.md gives the
         argument.
 
+        Cycles ahead of the engine run as translated code where they can:
+        the run-ahead unit (:mod:`repro.cell.units`) that starts at the
+        pc with the pending scoreboard writes runs them, by the schedule
+        :meth:`_schedule` walked from these rules, and chains to the unit
+        at each taken branch's target.  A unit runs only if its latest
+        exit comes before the window's end and, observed, before the hub
+        bucket's edge.  A cycle a unit declines, and every cycle no unit
+        can run, goes through the rows here.
+
         Stats and hub credits are summed in locals.  The stats get the
         tick's sums when it ends.  An attached hub gets what a tick per
         cycle would give it (each issue cycle at its cycle, each stall at
@@ -423,7 +448,77 @@ class SPU(Component):
             edge = (now // hub_width + 1) * hub_width
             h_issue = h_wait = h_ls_wait = 0
             span_start = now  # first issue cycle not yet in h_issue
+        unit_at = start + 1  # the next cycle to look for a unit at
         while True:
+            if now >= unit_at:
+                # A cycle ahead of the engine: run the units that start
+                # here.  Observed, a unit's sums all belong to the hub
+                # bucket it runs in.
+                if observed:
+                    if now >= edge:
+                        edge, h_issue, h_wait, h_ls_wait = self._hub_span(
+                            span_start, now, now, edge, bucket,
+                            h_issue, h_wait, h_ls_wait,
+                        )
+                        span_start = now
+                    limit = edge if edge < stop else stop
+                else:
+                    limit = stop
+                if ls_ahead is None:
+                    # While the MFC is idle only the LSE can touch the
+                    # Local Store before this SPU does, and only this
+                    # SPU's DMA ops (issued in the engine's cycle) or the
+                    # XP pipeline can feed the MFC.
+                    ls_ahead = not (
+                        self._check_loads
+                        or self._lse.config.dual_pipelines
+                        or self._mfc.outstanding_commands
+                    )
+                unit = self._unit(ls_ahead, pc, tuple(sorted([
+                    (r, e[0] - now, e[1]) for r, e in sb.items() if e[0] > now
+                ])))
+                if unit is not None and now + unit.span < limit:
+                    words, frame = ls._words, thread.frame_addr
+                    while True:
+                        k, loops = unit.run(regs, words, ls, now, limit, frame)
+                        exit_ = unit.exits[k]
+                        cycles, issue, dual, wait, ls_wait = exit_.sums
+                        if loops:
+                            loop = unit.loop
+                            for name, count in loop.ops:
+                                by_opcode[name] += loops * count
+                            lc, li, ld, lw, ll = loop.sums
+                            cycles += loops * lc
+                            issue += loops * li
+                            dual += loops * ld
+                            wait += loops * lw
+                            ls_wait += loops * ll
+                        for name, count in exit_.ops:
+                            by_opcode[name] += count
+                        issue_cycles += issue
+                        dual_cycles += dual
+                        wait_cycles += wait
+                        ls_wait_cycles += ls_wait
+                        if observed:
+                            h_issue += now - span_start + issue
+                            h_wait += wait
+                            h_ls_wait += ls_wait
+                            span_start = now + cycles
+                        now += cycles
+                        pc = exit_.pc
+                        if not exit_.chain:
+                            unit = None  # the interpreter decides this cycle
+                            break
+                        unit = exit_.next
+                        if unit is units.UNRESOLVED:
+                            unit = exit_.next = self._unit(ls_ahead, pc,
+                                                           exit_.sb)
+                        if unit is None or now + unit.span >= limit:
+                            break
+                    sb.clear()
+                    for r, left, stall in exit_.sb:
+                        sb[r] = (now + left, stall)
+                unit_at = now + 1 if unit is None else limit
             row = rows[pc]
             # Scoreboard scan (ra, rb, rd order); expired entries go.  A
             # first issue that must wait stalls the pipeline in place.
@@ -516,18 +611,7 @@ class SPU(Component):
                     mem = row if kind >= K_LS else rows[pc + 1]
                     if mem[D_KIND] == K_STRUCT:
                         break
-                    if ls_ahead is None:
-                        # While the MFC is idle only the LSE can touch
-                        # the Local Store before this SPU does, and
-                        # only this SPU's DMA ops (issued in the
-                        # engine's cycle) or the XP pipeline can feed
-                        # the MFC.
-                        ls_ahead = not (
-                            self._check_loads
-                            or self._lse.config.dual_pipelines
-                            or self._mfc.outstanding_commands
-                        )
-                    if not ls_ahead:
+                    if not ls_ahead:  # decided at the first cycle ahead
                         break
                     if ls.ports_booked(now) + 1 >= ls.config.ports:
                         break  # the LSE may book one more this cycle
@@ -848,6 +932,154 @@ class SPU(Component):
             self._m_issue_cycles.value += issue_cycles
             self._m_dual_issue.value += dual_cycles
         return now
+
+    @staticmethod
+    def _schedule(rows: tuple, pc: int, pending: tuple, ls_latency: int,
+                  penalty: int,
+                  ahead: bool) -> "tuple[list, list, int | None] | None":
+        """The schedule of the run-ahead unit (:mod:`repro.cell.units`)
+        that starts at ``pc`` in a cycle ahead of the engine, with the
+        scoreboard writes ``pending`` (``(register, cycles left, bucket)``
+        triples): the cycles :meth:`_issue_cycle` would run from there,
+        walked once by its rules on the same row fields, counted from
+        the unit's entry.
+
+        Returns ``(steps, exits, loop)`` in the form
+        :func:`repro.cell.units.lookup` builds from, or None when the
+        walk issues nothing.  The walk follows not-taken branches; each
+        taken branch leaves by an exit of its own, and the first one
+        back to the entry state is the ``loop`` exit.  It stops at a
+        cycle that could issue a memory, scheduler or DMA op or, unless
+        ``ahead`` (Local Store ops may run ahead in the tick), a Local
+        Store op: the interpreter hands such a cycle back to the engine.  It also
+        stops at a JMP and after ``_UNIT_ISSUES`` issue cycles.
+        """
+        entry = pc
+        sb = {r: (left, stall) for r, left, stall in pending}
+        t = issue = dual = wait = ls_wait = 0
+        ops: dict[str, int] = {}  # mnemonic -> count, in first-issue order
+        steps: list = []
+        exits: list = []
+
+        def leave(to, at, chain, cycle=(), pair=0, penalty=0):
+            """Add the exit to ``to`` at cycle ``at``, after ``cycle``,
+            the rows still to issue in the cycle the exit ends."""
+            counts = dict(ops)
+            for row in cycle:
+                counts[row[D_NAME]] = counts.get(row[D_NAME], 0) + 1
+            exits.append(units.Exit(
+                to, (at, issue + bool(cycle), dual + pair, wait + penalty,
+                     ls_wait),
+                tuple(counts.items()),
+                tuple(sorted((r, ready - at, stall)
+                             for r, (ready, stall) in sb.items()
+                             if ready > at)),
+                chain,
+            ))
+            return len(exits) - 1
+
+        def issued(row):
+            ops[row[D_NAME]] = ops.get(row[D_NAME], 0) + 1
+            kind, rd, lat = row[D_KIND], row[D_RD], row[D_LAT]
+            if kind == K_LS and rd is not None:  # LLOAD, LOAD
+                sb[rd] = (t + ls_latency, Bucket.LS_STALL)
+            elif kind == K_ALU and row[D_FN] is not None and lat > 1:
+                sb[rd] = (t + lat, Bucket.WORKING)
+
+        while issue < _UNIT_ISSUES:
+            row = rows[pc]
+            worst_ready = 0
+            stall = None
+            for r in row[D_HAZ]:
+                e = sb.get(r)
+                if e is not None:
+                    if e[0] <= t:
+                        del sb[r]
+                    elif e[0] > worst_ready:
+                        worst_ready, stall = e
+            if stall is not None:
+                if stall == Bucket.LS_STALL:
+                    ls_wait += worst_ready - t
+                else:
+                    wait += worst_ready - t
+                t = worst_ready
+                continue
+            kind = row[D_KIND]
+            if kind == K_BRANCH:
+                taken = leave(row[D_TARGET], t + 1 + penalty, True, (row,),
+                              0, penalty)
+                steps.append((units.BRANCH, row, taken))
+                if row[D_NAME] == "JMP":
+                    steps.append((units.END, taken))
+                    break
+            if row[D_SOLO]:
+                # Alone in its cycle: an ALU op or a not-taken branch.
+                if row[D_NAME] in _DIVIDES:
+                    steps.append((units.NONZERO, row, leave(pc, t, False)))
+                if kind == K_ALU:
+                    steps.append((units.ALU, row))
+                issued(row)
+                pc += 1
+                issue += 1
+                t += 1
+                continue
+            mem = row if kind >= K_LS else rows[pc + 1]
+            if mem[D_KIND] == K_STRUCT or not ahead:
+                steps.append((units.END, leave(pc, t, False)))
+                break
+            # A cycle with a Local Store op: the row, then the next one
+            # if its slot is free and no register it names waits.
+            decline = leave(pc, t, False)
+            issued(row)
+            nxt = rows[pc + 1]
+            pair = nxt[D_MEM] != (kind == K_LS) and not any(
+                sb.get(r, (0,))[0] > t for r in nxt[D_HAZ]
+            )
+            for op in (row, nxt) if pair else (row,):
+                if op[D_NAME] in _DIVIDES:
+                    steps.append((units.NONZERO, op, decline))
+            steps.append((units.GUARD, t,
+                          row if kind == K_ALU and row[D_FN] else None,
+                          mem, decline))
+            if kind == K_LS:
+                steps.append((units.LS, t, row))
+            if pair:
+                if nxt[D_KIND] == K_BRANCH:
+                    steps.append((units.BRANCH, nxt, leave(
+                        nxt[D_TARGET], t + 1 + penalty, True, (nxt,), 1,
+                        penalty,
+                    )))
+                elif nxt[D_KIND] == K_LS:
+                    steps.append((units.LS, t, nxt))
+                else:
+                    steps.append((units.ALU, nxt))
+                issued(nxt)
+            pc += 1 + pair
+            issue += 1
+            dual += pair
+            t += 1
+        else:
+            steps.append((units.END, leave(pc, t, True)))
+        if not any(step[0] in (units.ALU, units.LS, units.BRANCH)
+                   for step in steps):
+            return None
+        loop = next((k for k, e in enumerate(exits)
+                     if e.chain and e.pc == entry and e.sb == pending), None)
+        return steps, exits, loop
+
+    def _unit(self, ahead: bool, pc: int,
+              pending: tuple) -> "units.Unit | None":
+        """The run-ahead unit that starts at ``pc`` with the scoreboard
+        writes ``pending`` in a tick where Local Store ops may run ahead
+        or (``ahead`` False) not, or None when none starts there."""
+        table = self._dec.units
+        key = (self._unit_config, ahead, pc, pending)
+        try:
+            return table[key]
+        except KeyError:
+            unit = table[key] = units.lookup(self._dec.rows, key,
+                                             self._schedule)
+            return unit
 
     def _next_thread(self, issued: int, now: int, bucket: str) -> int | None:
         """The thread left the pipeline (STOP, or a squash): charge the

@@ -20,7 +20,9 @@ tuples — one row per flat instruction — holding:
   and gather stride (Table 3's command: LS address ``ra``, memory
   address ``rb``, size, tag),
 * the value function (one tiny closure per opcode instead of the
-  ``alu_result`` if-chain; ``tests/isa/test_decoded.py`` pins these to
+  ``alu_result`` if-chain, compiled from the opcode's template in
+  :data:`TEMPLATES`, which the SPU's run-ahead units inline too;
+  ``tests/isa/test_decoded.py`` pins these to
   :func:`~repro.isa.semantics.alu_result` /
   :func:`~repro.isa.semantics.branch_taken` so they cannot drift),
 * the scoreboard-checked register set and the result latency,
@@ -54,6 +56,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "DecodedProgram",
     "decode_program",
+    "TEMPLATES",
+    "NAMESPACE",
     # row field indices
     "D_KIND", "D_AREG", "D_AVAL", "D_BREG", "D_BVAL", "D_RD", "D_TARGET",
     "D_LAT", "D_HAZ", "D_FN", "D_NAME", "D_MEM", "D_SOLO", "D_IMM",
@@ -95,11 +99,14 @@ _LS_OPS = frozenset({Op.LOAD, Op.STOREF, Op.LLOAD, Op.LSTORE})
 
 
 # -- value functions ----------------------------------------------------------
-# One closure per opcode; semantically identical to alu_result/branch_taken
-# (pinned by tests/isa/test_decoded.py) but without the if-chain.  Results
-# wrap to signed 64 bits inline, as wrap64 does, without the call; the
-# bitwise ops and SHL need no to_unsigned64 first, because their result
-# modulo 2**64 depends only on their operands modulo 2**64.
+# One template per opcode: the op's value as a Python expression over its
+# operands {a} and {b}.  The decoded closures are compiled from these, and
+# the SPU's run-ahead units (repro.cell.units) inline the same text, so the
+# machine has one copy of the ALU semantics; tests/isa/test_decoded.py
+# pins the closures to alu_result/branch_taken.  Results wrap to signed 64
+# bits inline, as wrap64 does, without the call; the bitwise ops and SHL
+# need no to_unsigned64 first, because their result modulo 2**64 depends
+# only on their operands modulo 2**64.
 
 _SIGN = 1 << 63
 _MASK = (1 << 64) - 1
@@ -119,55 +126,77 @@ def _mod(a: int, b: int) -> int:
     return wrap64(-r if a < 0 else r)
 
 
-_ALU_FN: dict[Op, typing.Callable[[int, int], int]] = {
-    Op.ADD: lambda a, b: ((a + b + _SIGN) & _MASK) - _SIGN,
-    Op.ADDI: lambda a, b: ((a + b + _SIGN) & _MASK) - _SIGN,
-    Op.SUB: lambda a, b: ((a - b + _SIGN) & _MASK) - _SIGN,
-    Op.SUBI: lambda a, b: ((a - b + _SIGN) & _MASK) - _SIGN,
-    Op.MUL: lambda a, b: ((a * b + _SIGN) & _MASK) - _SIGN,
-    Op.MULI: lambda a, b: ((a * b + _SIGN) & _MASK) - _SIGN,
-    Op.DIV: _div,
-    Op.MOD: _mod,
-    Op.AND: lambda a, b: (((a & b) + _SIGN) & _MASK) - _SIGN,
-    Op.ANDI: lambda a, b: (((a & b) + _SIGN) & _MASK) - _SIGN,
-    Op.OR: lambda a, b: (((a | b) + _SIGN) & _MASK) - _SIGN,
-    Op.ORI: lambda a, b: (((a | b) + _SIGN) & _MASK) - _SIGN,
-    Op.XOR: lambda a, b: (((a ^ b) + _SIGN) & _MASK) - _SIGN,
-    Op.XORI: lambda a, b: (((a ^ b) + _SIGN) & _MASK) - _SIGN,
-    Op.SHL: lambda a, b: (((a << (b & 63)) + _SIGN) & _MASK) - _SIGN,
-    Op.SHLI: lambda a, b: (((a << (b & 63)) + _SIGN) & _MASK) - _SIGN,
-    Op.SHR: lambda a, b: ((((a & _MASK) >> (b & 63)) + _SIGN) & _MASK) - _SIGN,
-    Op.SHRI: lambda a, b: ((((a & _MASK) >> (b & 63)) + _SIGN) & _MASK) - _SIGN,
-    Op.SLT: lambda a, b: 1 if a < b else 0,
-    Op.SLTI: lambda a, b: 1 if a < b else 0,
-    Op.SEQ: lambda a, b: 1 if a == b else 0,
-    Op.SEQI: lambda a, b: 1 if a == b else 0,
-    Op.MIN: lambda a, b: min(a, b),
-    Op.MAX: lambda a, b: max(a, b),
-    Op.MOV: lambda a, b: ((a + _SIGN) & _MASK) - _SIGN,
-    Op.LI: lambda a, b: ((b + _SIGN) & _MASK) - _SIGN,
+_WRAP = "(({} + _SIGN) & _MASK) - _SIGN"
+
+_ALU_TEMPLATES: dict[Op, str] = {
+    Op.ADD: _WRAP.format("{a} + {b}"),
+    Op.ADDI: _WRAP.format("{a} + {b}"),
+    Op.SUB: _WRAP.format("{a} - {b}"),
+    Op.SUBI: _WRAP.format("{a} - {b}"),
+    Op.MUL: _WRAP.format("{a} * {b}"),
+    Op.MULI: _WRAP.format("{a} * {b}"),
+    Op.DIV: "_div({a}, {b})",
+    Op.MOD: "_mod({a}, {b})",
+    Op.AND: _WRAP.format("({a} & {b})"),
+    Op.ANDI: _WRAP.format("({a} & {b})"),
+    Op.OR: _WRAP.format("({a} | {b})"),
+    Op.ORI: _WRAP.format("({a} | {b})"),
+    Op.XOR: _WRAP.format("({a} ^ {b})"),
+    Op.XORI: _WRAP.format("({a} ^ {b})"),
+    Op.SHL: _WRAP.format("({a} << ({b} & 63))"),
+    Op.SHLI: _WRAP.format("({a} << ({b} & 63))"),
+    Op.SHR: _WRAP.format("(({a} & _MASK) >> ({b} & 63))"),
+    Op.SHRI: _WRAP.format("(({a} & _MASK) >> ({b} & 63))"),
+    Op.SLT: "1 if {a} < {b} else 0",
+    Op.SLTI: "1 if {a} < {b} else 0",
+    Op.SEQ: "1 if {a} == {b} else 0",
+    Op.SEQI: "1 if {a} == {b} else 0",
+    Op.MIN: "min({a}, {b})",
+    Op.MAX: "max({a}, {b})",
+    Op.MOV: _WRAP.format("{a}"),
+    Op.LI: _WRAP.format("{b}"),
 }
 
-_BRANCH_FN: dict[Op, typing.Callable[[int, int], bool]] = {
-    Op.BEQ: lambda a, b: a == b,
-    Op.BNE: lambda a, b: a != b,
-    Op.BLT: lambda a, b: a < b,
-    Op.BGE: lambda a, b: a >= b,
-    Op.BEQZ: lambda a, b: a == 0,
-    Op.BNEZ: lambda a, b: a != 0,
-    Op.JMP: lambda a, b: True,
+_BRANCH_TEMPLATES: dict[Op, str] = {
+    Op.BEQ: "{a} == {b}",
+    Op.BNE: "{a} != {b}",
+    Op.BLT: "{a} < {b}",
+    Op.BGE: "{a} >= {b}",
+    Op.BEQZ: "{a} == 0",
+    Op.BNEZ: "{a} != 0",
+    Op.JMP: "True",
 }
+
+#: Op mnemonic -> value template, for every ALU and branch op but NOP.
+TEMPLATES: dict[str, str] = {
+    op.value: template
+    for op, template in (_ALU_TEMPLATES | _BRANCH_TEMPLATES).items()
+}
+
+#: The names the templates use besides their operands.
+NAMESPACE = {"_SIGN": _SIGN, "_MASK": _MASK, "_div": _div, "_mod": _mod}
+
+
+def _closure(template: str) -> typing.Callable[[int, int], int]:
+    return eval(f"lambda a, b: {template.format(a='a', b='b')}",
+                dict(NAMESPACE))
+
+
+_ALU_FN = {op: _closure(t) for op, t in _ALU_TEMPLATES.items()}
+_BRANCH_FN = {op: _closure(t) for op, t in _BRANCH_TEMPLATES.items()}
 
 
 class DecodedProgram:
     """The decoded execution table of one :class:`ThreadProgram`."""
 
-    __slots__ = ("rows", "program")
+    __slots__ = ("rows", "program", "units")
 
     def __init__(self, rows: tuple[tuple, ...],
                  program: "ThreadProgram") -> None:
         self.rows = rows
         self.program = program
+        #: The SPU's run-ahead units over these rows (repro.cell.units).
+        self.units: dict = {}
 
     def __len__(self) -> int:
         return len(self.rows)
