@@ -108,8 +108,9 @@ class Exit:
         self.ops = ops
         #: The pending scoreboard writes at the exit, as in a unit key.
         self.sb = sb
-        #: True when another unit may start at the exit (a taken branch);
-        #: False when the interpreter must decide the exit's cycle.
+        #: True when another unit may start at the exit (a taken branch,
+        #: or the end of a long schedule); False when the interpreter
+        #: must decide the exit's cycle.
         self.chain = chain
         #: The unit that starts at the exit, once looked up (or None).
         self.next = UNRESOLVED
