@@ -33,12 +33,26 @@ Timing model
 At the end of a PF block with outstanding DMA tags the thread yields the
 pipeline (Wait-for-DMA state) and the SPU immediately dispatches another
 ready thread — the non-blocking execution this paper is about.
+
+Host execution
+--------------
+One engine tick issues many cycles: the issue loop **runs ahead** of the
+engine through cycles no other component can see or change first (ALU
+ops, branches, most Local Store ops), as translated run-ahead units
+(:mod:`repro.cell.units`) where it can.  Posted ops (WRITE, STORE,
+FFREE) run ahead too: the pipeline takes their store-queue credit or
+LSE-queue slot where it is, and the SPU performs what they do outside
+it (the bus message or LSE request) in its own tick at the op's cycle,
+where a tick per cycle makes the same call.  Timing, stats and every
+other component's view are those of a tick per cycle
+(docs/PERFORMANCE.md, "SPU run-ahead").
 """
 
 from __future__ import annotations
 
 import enum
 import typing
+from collections import deque
 
 from repro.cell import units
 from repro.cell.mfc import DmaKind
@@ -65,6 +79,7 @@ from repro.isa.decoded import (
     K_ALU,
     K_BRANCH,
     K_LS,
+    K_POST,
     K_STRUCT,
 )
 from repro.sim.component import Component
@@ -99,8 +114,15 @@ _UNIT_ISSUES = 64
 #: Ops whose zero divisor the interpreter raises on.
 _DIVIDES = frozenset({"DIV", "MOD"})
 
-#: Scheduler ops: each is one request to the LSE.
-_LSE_OPS = frozenset({"STORE", "FALLOC", "STOP", "FFREE", "LSALLOC"})
+#: Scheduler ops that block or end the thread: one LSE request each, in
+#: the engine's cycle (STORE and FFREE are posted, K_POST).
+_LSE_OPS = frozenset({"FALLOC", "STOP", "LSALLOC"})
+
+#: Posted-op codes (see :meth:`SPU._perform`), and their mnemonics.
+_WRITE = units.POST_CODES["WRITE"]
+_STORE = units.POST_CODES["STORE"]
+_FFREE = units.POST_CODES["FFREE"]
+_POST_NAMES = tuple(units.POST_CODES)
 
 
 class SPU(Component):
@@ -167,7 +189,14 @@ class SPU(Component):
         #: LSALLOC); None for waits that produce no value.
         self._ext_rd: int | None = None
         self._ext_kind: str | None = None  # "value" | "lse_queue" | "write_credit"
+        #: WRITEs sent and not yet acknowledged (store-queue credits used).
         self._outstanding_writes = 0
+        #: Posted ops issued ahead of the engine and not yet performed, as
+        #: ``(cycle, code, x, y, z)`` records in cycle order (see
+        #: :meth:`_perform`), and the cycle the pipeline goes on at once
+        #: they are.
+        self._posts: deque[tuple] = deque()
+        self._resume_at = 0
         # Hub instruments (bound in _bind_metrics; None = observability off).
         self._m_buckets: dict[str, object] | None = None
         self._m_issue = None
@@ -298,6 +327,19 @@ class SPU(Component):
     # -- component --------------------------------------------------------------------
 
     def tick(self, now: int) -> int | None:
+        posts = self._posts
+        if posts:
+            # The outside part of the posted op due now (see _issue_cycle),
+            # then the next post's cycle, or the pipeline's once none is
+            # left.
+            cycle, code, x, y, z = posts.popleft()
+            if cycle != now or not self._perform(code, x, y, z):
+                raise SpuFault(
+                    f"{self.name}: could not perform the "
+                    f"{_POST_NAMES[code]} posted for cycle {cycle} at "
+                    f"cycle {now}"
+                )
+            return posts[0][0] if posts else self._resume_at
         if self._state is _State.EXTERNAL:
             return None  # spurious wake; resumes via unblock paths
         if self._state is _State.TIMED:
@@ -319,6 +361,33 @@ class SPU(Component):
             if self._state is not _State.RUNNING:
                 return None  # dispatch entered a timed wait
         return self._issue_cycle(now)
+
+    def _perform(self, code: int, x: int, y: int, z: int) -> bool:
+        """Do what a posted op does outside the SPU, in the current
+        cycle: send a WRITE's :class:`WriteRequest` (through the data
+        cache's write-through) on a store-queue credit, or queue a STORE
+        or FFREE with the LSE; either way the thread now has side
+        effects.  ``code`` and ``x, y, z`` are a post record's
+        (:data:`repro.cell.units.POST_CODES`).  Returns False, and does
+        nothing, when there is no room: no credit left, or the LSE's
+        queue is full."""
+        if code == _WRITE:
+            if self._outstanding_writes >= self.config.store_queue_size:
+                return False
+            self._outstanding_writes += 1
+            if self._cache is not None:
+                self._cache.write(x, y)  # write-through
+            self._bus.send(
+                self._memory,
+                WriteRequest(addr=x, value=y, requester_spe=self.spe_id),
+            )
+        elif not (
+            self._lse.request(LSE.store, (x, y, z)) if code == _STORE
+            else self._lse.request(LSE.ffree, (x,))
+        ):
+            return False
+        self.thread.side_effects = True
+        return True
 
     # -- dispatch -----------------------------------------------------------------------
 
@@ -377,16 +446,29 @@ class SPU(Component):
 
         The first cycle is the engine's.  The loop then **runs ahead**:
         it goes on to the next cycle in the same tick while that cycle
-        issues only ALU ops, branches and Local Store ops that no other
-        component can see or change first.  A Local Store op qualifies
-        while this SPE's MFC has nothing queued or in flight, the LSE's
-        XP pipeline is off and no data-fault plan checks LOADs, if it
-        leaves one LS port free for the LSE and, for LLOAD and LSTORE,
-        addresses the prefetch region.  A cycle that could issue anything
-        else goes back to the engine whole, as does an open PF block and
-        the cycle ``_WINDOW_CYCLES`` after ``now``.  A scoreboard stall
-        advances ``now`` in place.  docs/PERFORMANCE.md gives the
-        argument.
+        issues only ALU ops, branches, Local Store ops that no other
+        component can see or change first, and posted ops.  A Local
+        Store op qualifies while this SPE's MFC has nothing queued or in
+        flight, the LSE's XP pipeline is off and no data-fault plan
+        checks LOADs, if it leaves one LS port free for the LSE and, for
+        LLOAD and LSTORE, addresses the prefetch region.  A posted op
+        (WRITE, STORE, FFREE) qualifies if a store-queue credit (WRITE)
+        or an LSE-queue slot (STORE, FFREE) is left after the posts this
+        tick has made.  A cycle that could issue anything else goes back
+        to the engine whole, as does an open PF block and the cycle
+        ``_WINDOW_CYCLES`` after ``now``.  A scoreboard stall advances
+        ``now`` in place.  docs/PERFORMANCE.md gives the argument.
+
+        A posted op splits in two.  The SPU-side part (operands, the
+        credit or slot) runs where the pipeline is.  The outside part
+        (:meth:`_perform`: the bus message or LSE request, the data
+        cache's write-through, ``side_effects``) runs at the op's cycle:
+        at once in the engine's cycle, or, ahead of the engine, in this
+        SPU's own tick at that cycle, the dispatch slot where a tick per
+        cycle makes the same call.  A tick that posted returns its first
+        post's cycle; the tick there performs it and returns the next
+        post's cycle, and after the last one the cycle the pipeline
+        stopped at (see :meth:`tick`).
 
         Cycles ahead of the engine run as translated code where they can:
         the run-ahead unit (:mod:`repro.cell.units`) that starts at the
@@ -398,15 +480,18 @@ class SPU(Component):
         can run, goes through the rows here.
 
         Stats and hub credits are summed in locals.  The stats get the
-        tick's sums when it ends.  An attached hub gets what a tick per
-        cycle would give it (each issue cycle at its cycle, each stall at
-        its resume cycle, each branch penalty at its branch's cycle),
-        summed per hub bucket: the sums are added when a credit reaches
-        the next hub bucket and when the tick ends (see :meth:`_hub_span`).
+        tick's sums when it ends; ahead of the engine the instruction
+        mix is counted in a plain dict, added in first-issue order.  An
+        attached hub gets what a tick per cycle would give it (each
+        issue cycle at its cycle, each stall at its resume cycle, each
+        branch penalty at its branch's cycle), summed per hub bucket:
+        the sums are added when a credit reaches the next hub bucket and
+        when the tick ends (see :meth:`_hub_span`).
         """
         thread = self.thread
         assert thread is not None
-        rows = self._dec.rows
+        dec = self._dec
+        rows = dec.rows
         pc = self.pc
         pf_end = self._pf_end
         open_pf = pf_end and not thread.prefetch_done
@@ -433,10 +518,13 @@ class SPU(Component):
         ls_ahead = None  # may Local Store ops run ahead? Decided once.
         regs = self.regs
         sb = self._scoreboard
+        # The engine's cycle counts into the Counter; the cycles ahead
+        # count into a plain dict (see below).
         by_opcode = self.stats.mix.by_opcode
         branch_penalty = self.config.branch_taken_penalty
         ls = self.ls
         lse = self._lse
+        posts = self._posts
         issue_cycles = 0
         dual_cycles = 0
         wait_cycles = 0  # branch penalties and stalls charged to `bucket`
@@ -465,40 +553,61 @@ class SPU(Component):
                 else:
                     limit = stop
                 if ls_ahead is None:
-                    # While the MFC is idle only the LSE can touch the
-                    # Local Store before this SPU does, and only this
-                    # SPU's DMA ops (issued in the engine's cycle) or the
-                    # XP pipeline can feed the MFC.
+                    # The first cycle ahead.  While the MFC is idle only
+                    # the LSE can touch the Local Store before this SPU
+                    # does, and only this SPU's DMA ops (issued in the
+                    # engine's cycle) or the XP pipeline can feed the MFC.
                     ls_ahead = not (
                         self._check_loads
                         or self._lse.config.dual_pipelines
                         or self._mfc.outstanding_commands
                     )
-                unit = self._unit(ls_ahead, pc, tuple(sorted([
-                    (r, e[0] - now, e[1]) for r, e in sb.items() if e[0] > now
-                ])))
+                    # Room for posts: only write_ack frees a credit and
+                    # only the LSE's ticks free a slot, so what is left
+                    # here, less this tick's posts, is left at any later
+                    # cycle too.
+                    credits = (self.config.store_queue_size
+                               - self._outstanding_writes)
+                    slots = lse.SPU_QUEUE_CAPACITY - lse._spu_queue_len
+                    # Counts ahead go into a plain dict, at dict speed,
+                    # and into the Counter when the tick ends.
+                    by_opcode = {}
+                if dec.starts[pc]:
+                    unit = self._unit(ls_ahead, pc, tuple(sorted([
+                        (r, e[0] - now, e[1]) for r, e in sb.items()
+                        if e[0] > now
+                    ])))
+                else:
+                    unit = None
                 if unit is not None and now + unit.span < limit:
                     words, frame = ls._words, thread.frame_addr
                     while True:
-                        k, loops = unit.run(regs, words, ls, now, limit, frame)
+                        k, loops = unit.run(regs, words, ls, now, limit,
+                                            frame, posts, credits, slots)
                         exit_ = unit.exits[k]
-                        cycles, issue, dual, wait, ls_wait = exit_.sums
+                        (cycles, issue, dual, wait, ls_wait,
+                         writes, requests) = exit_.sums
                         if loops:
                             loop = unit.loop
                             for name, count in loop.ops:
-                                by_opcode[name] += loops * count
-                            lc, li, ld, lw, ll = loop.sums
+                                by_opcode[name] = (by_opcode.get(name, 0)
+                                                   + loops * count)
+                            lc, li, ld, lw, ll, lwr, lrq = loop.sums
                             cycles += loops * lc
                             issue += loops * li
                             dual += loops * ld
                             wait += loops * lw
                             ls_wait += loops * ll
+                            writes += loops * lwr
+                            requests += loops * lrq
                         for name, count in exit_.ops:
-                            by_opcode[name] += count
+                            by_opcode[name] = by_opcode.get(name, 0) + count
                         issue_cycles += issue
                         dual_cycles += dual
                         wait_cycles += wait
                         ls_wait_cycles += ls_wait
+                        credits -= writes
+                        slots -= requests
                         if observed:
                             h_issue += now - span_start + issue
                             h_wait += wait
@@ -511,8 +620,10 @@ class SPU(Component):
                             break
                         unit = exit_.next
                         if unit is units.UNRESOLVED:
-                            unit = exit_.next = self._unit(ls_ahead, pc,
-                                                           exit_.sb)
+                            unit = exit_.next = (
+                                self._unit(ls_ahead, pc, exit_.sb)
+                                if dec.starts[pc] else None
+                            )
                         if unit is None or now + unit.span >= limit:
                             break
                     sb.clear()
@@ -574,7 +685,8 @@ class SPU(Component):
                     lat = row[D_LAT]
                     if lat > 1:
                         sb[rd] = (now + lat, Bucket.WORKING)
-                by_opcode[row[D_NAME]] += 1
+                name = row[D_NAME]
+                by_opcode[name] = by_opcode.get(name, 0) + 1
                 pc += 1
                 issue_cycles += 1
                 now += 1
@@ -592,31 +704,36 @@ class SPU(Component):
                 br = row[D_BREG]
                 b = regs[br] if br is not None else row[D_BVAL]
                 if row[D_FN](a, b):
-                    by_opcode[row[D_NAME]] += 1
                     issued = 1
                     pc = row[D_TARGET]
                     penalty = branch_penalty
                 elif row[D_SOLO]:
-                    by_opcode[row[D_NAME]] += 1
                     issued = 1
                     pc += 1
+                if issued:
+                    name = row[D_NAME]
+                    by_opcode[name] = by_opcode.get(name, 0) + 1
             if not issued:
                 if now > start:
                     # The engine has not reached this cycle.  Its MEM-slot
                     # op, if any, is the row itself or, after an ALU op or
                     # a not-taken branch, the next row.  A memory,
-                    # scheduler or DMA op there, or a Local Store op that
+                    # scheduler or DMA op there that is not posted, a
+                    # posted op without room, or a Local Store op that
                     # another component could see or change first, hands
                     # the whole cycle back to the engine.
                     mem = row if kind >= K_LS else rows[pc + 1]
-                    if mem[D_KIND] == K_STRUCT:
+                    mem_kind = mem[D_KIND]
+                    if mem_kind == K_POST:
+                        if (credits if mem[D_NAME] == "WRITE" else slots) < 1:
+                            break
+                    elif mem_kind == K_STRUCT:
                         break
-                    if not ls_ahead:  # decided at the first cycle ahead
+                    elif not ls_ahead:  # decided at the first cycle ahead
                         break
-                    if ls.ports_booked(now) + 1 >= ls.config.ports:
+                    elif ls.ports_booked(now) + 1 >= ls.config.ports:
                         break  # the LSE may book one more this cycle
-                    name = mem[D_NAME]
-                    if name == "LLOAD" or name == "LSTORE":
+                    elif mem[D_NAME] == "LLOAD" or mem[D_NAME] == "LSTORE":
                         ar = mem[D_AREG]
                         if ar is None:
                             base = mem[D_AVAL]
@@ -658,7 +775,8 @@ class SPU(Component):
                         b = regs[br] if br is not None else row[D_BVAL]
                         alu_used = True
                         if row[D_FN](a, b):
-                            by_opcode[row[D_NAME]] += 1
+                            name = row[D_NAME]
+                            by_opcode[name] = by_opcode.get(name, 0) + 1
                             issued += 1
                             pc = row[D_TARGET]
                             penalty = branch_penalty
@@ -710,25 +828,59 @@ class SPU(Component):
                             )
                         pc += 1
                         mem_used = True
-                    elif row[D_NAME] in _LSE_OPS:
-                        # Scheduler ops, like memory and DMA ops, issue
-                        # only in the engine's cycle: one request each to
-                        # the LSE, which refuses it while its queue is full.
-                        name = row[D_NAME]
+                    elif kind == K_POST:
+                        # WRITE, STORE, FFREE.  Ahead of the engine the
+                        # room was checked before the cycle began, and the
+                        # outside part waits for this SPU's tick at `now`.
                         ar = row[D_AREG]
                         a = regs[ar] if ar is not None else row[D_AVAL]
-                        if name == "STORE":
-                            br = row[D_BREG]
-                            accepted = lse.request(LSE.store, (
-                                a, row[D_IMM],
-                                regs[br] if br is not None else row[D_BVAL],
+                        br = row[D_BREG]
+                        b = regs[br] if br is not None else row[D_BVAL]
+                        name = row[D_NAME]
+                        if name == "WRITE":
+                            code, x, y, z = _WRITE, a + row[D_IMM], b, 0
+                        elif name == "STORE":
+                            code, x, y, z = _STORE, a, row[D_IMM], b
+                        else:  # FFREE
+                            code, x, y, z = _FFREE, a, 0, 0
+                        if now > start:
+                            if code == _WRITE:
+                                credits -= 1
+                            else:
+                                slots -= 1
+                            posts.append((now, code, x, y, z))
+                        elif not self._perform(code, x, y, z):
+                            # No store-queue credit, or the LSE refused.
+                            if issued:
+                                break  # retry next cycle
+                            self.pc = pc
+                            if code == _WRITE:
+                                self._block_external(
+                                    "write_credit",
+                                    self._bucket(Bucket.MEM_STALL),
+                                )
+                            else:
+                                self._block_external(
+                                    "lse_queue",
+                                    self._bucket(Bucket.LSE_STALL),
+                                )
+                            return None
+                        pc += 1
+                        mem_used = True
+                    elif row[D_NAME] in _LSE_OPS:
+                        # FALLOC, LSALLOC and STOP, like memory and DMA
+                        # ops, issue only in the engine's cycle: one
+                        # request each to the LSE, which refuses it while
+                        # its queue is full.
+                        name = row[D_NAME]
+                        if name == "FALLOC":
+                            ar = row[D_AREG]
+                            accepted = lse.request(LSE.falloc, (
+                                row[D_IMM],
+                                regs[ar] if ar is not None else row[D_AVAL],
                             ))
-                        elif name == "FALLOC":
-                            accepted = lse.request(LSE.falloc, (row[D_IMM], a))
                         elif name == "STOP":
                             accepted = lse.request(LSE.stop, (thread,))
-                        elif name == "FFREE":
-                            accepted = lse.request(LSE.ffree, (a,))
                         else:  # LSALLOC
                             accepted = lse.request(LSE.lsalloc, (thread, row[D_IMM]))
                         if not accepted:
@@ -740,28 +892,24 @@ class SPU(Component):
                             )
                             return None
                         pc += 1
-                        if name == "STORE" or name == "FFREE":
+                        by_opcode[name] = by_opcode.get(name, 0) + 1
+                        if name == "STOP":
+                            if self._tracer is not None:
+                                self._tracer.emit(now, self.name, "thread-stop",
+                                                  tid=thread.tid)
+                            return self._next_thread(issued + 1, now, bucket)
+                        # FALLOC or LSALLOC: wait for the frame handle or
+                        # the buffer address.
+                        if name == "FALLOC":
                             thread.side_effects = True
-                            mem_used = True
-                        else:
-                            by_opcode[name] += 1
-                            if name == "STOP":
-                                if self._tracer is not None:
-                                    self._tracer.emit(now, self.name, "thread-stop",
-                                                      tid=thread.tid)
-                                return self._next_thread(issued + 1, now, bucket)
-                            # FALLOC or LSALLOC: wait for the frame handle
-                            # or the buffer address.
-                            if name == "FALLOC":
-                                thread.side_effects = True
-                            self.pc = pc
-                            self._block_external(
-                                "value", self._bucket(Bucket.LSE_STALL),
-                                rd=row[D_RD],
-                            )
-                            self._charge_issue(issued + 1, now, bucket)
-                            self._stall_start = now + 1
-                            return None
+                        self.pc = pc
+                        self._block_external(
+                            "value", self._bucket(Bucket.LSE_STALL),
+                            rd=row[D_RD],
+                        )
+                        self._charge_issue(issued + 1, now, bucket)
+                        self._stall_start = now + 1
+                        return None
                     elif row[D_NAME] == "READ":
                         # Memory ops, like scheduler and DMA ops, issue
                         # only in the engine's cycle.  A READ blocks the
@@ -791,38 +939,10 @@ class SPU(Component):
                                 ReadRequest(addr=addr, reply_key=0,
                                             requester_spe=self.spe_id),
                             )
-                        by_opcode["READ"] += 1
+                        by_opcode["READ"] = by_opcode.get("READ", 0) + 1
                         self._charge_issue(issued + 1, now, bucket)
                         self._stall_start = now + 1
                         return None
-                    elif row[D_NAME] == "WRITE":
-                        # A posted WRITE takes a store-queue credit; with
-                        # none free it waits for a WriteAck.
-                        if self._outstanding_writes >= self.config.store_queue_size:
-                            if issued:
-                                break  # retry next cycle
-                            self.pc = pc
-                            self._block_external(
-                                "write_credit", self._bucket(Bucket.MEM_STALL)
-                            )
-                            return None
-                        ar = row[D_AREG]
-                        addr = (
-                            regs[ar] if ar is not None else row[D_AVAL]
-                        ) + row[D_IMM]
-                        br = row[D_BREG]
-                        value = regs[br] if br is not None else row[D_BVAL]
-                        thread.side_effects = True
-                        self._outstanding_writes += 1
-                        if self._cache is not None:
-                            self._cache.write(addr, value)  # write-through
-                        self._bus.send(
-                            self._memory,
-                            WriteRequest(addr=addr, value=value,
-                                         requester_spe=self.spe_id),
-                        )
-                        pc += 1
-                        mem_used = True
                     elif row[D_NAME] == "DMAWAIT":
                         # DMA ops, like memory and scheduler ops, issue only
                         # in the engine's cycle.  A DMAWAIT blocks while its
@@ -836,7 +956,9 @@ class SPU(Component):
                             self._block_external(
                                 "dmawait", self._bucket(Bucket.MEM_STALL)
                             )
-                            by_opcode["DMAWAIT"] += 1
+                            by_opcode["DMAWAIT"] = (
+                                by_opcode.get("DMAWAIT", 0) + 1
+                            )
                             self._charge_issue(issued + 1, now, bucket)
                             self._stall_start = now + 1
                             return None
@@ -864,11 +986,12 @@ class SPU(Component):
                              4 * row[D_IMM] if stride else row[D_IMM],
                              row[D_TAG], thread.tid, stride or 4),
                         )
-                        by_opcode[name] += 1
+                        by_opcode[name] = by_opcode.get(name, 0) + 1
                         self._charge_issue(issued + 1, now, bucket)
                         self._stall_start = now + 1
                         return self._timed_until
-                    by_opcode[row[D_NAME]] += 1
+                    name = row[D_NAME]
+                    by_opcode[name] = by_opcode.get(name, 0) + 1
                     issued += 1
                     if issued == 2 or (pc == pf_end and open_pf):
                         break
@@ -912,6 +1035,10 @@ class SPU(Component):
         stats = self.stats
         stats.issue_cycles += issue_cycles
         stats.dual_issue_cycles += dual_cycles
+        if ls_ahead is not None:
+            counts = stats.mix.by_opcode
+            for name, count in by_opcode.items():
+                counts[name] += count
         cycles = issue_cycles + wait_cycles
         breakdown = stats.breakdown.__dict__
         breakdown[bucket] += cycles
@@ -931,6 +1058,11 @@ class SPU(Component):
             # Counter.add, inline: this runs once per tick.
             self._m_issue_cycles.value += issue_cycles
             self._m_dual_issue.value += dual_cycles
+        if posts:
+            # Ahead of the engine the pipeline stopped at `now`; its posts
+            # come first.
+            self._resume_at = now
+            return posts[0][0]
         return now
 
     @staticmethod
@@ -948,16 +1080,19 @@ class SPU(Component):
         :func:`repro.cell.units.lookup` builds from, or None when the
         walk issues nothing.  The walk follows not-taken branches; each
         taken branch leaves by an exit of its own, and the first one
-        back to the entry state is the ``loop`` exit.  It stops at a
-        cycle that could issue a memory, scheduler or DMA op or, unless
-        ``ahead`` (Local Store ops may run ahead in the tick), a Local
-        Store op: the interpreter hands such a cycle back to the engine.  It also
-        stops at a JMP and after ``_UNIT_ISSUES`` issue cycles.
+        back to the entry state is the ``loop`` exit.  A cycle with a
+        posted op checks its room and posts it.  The walk stops at a
+        cycle that could issue a memory, scheduler or DMA op that is not
+        posted or, unless ``ahead`` (Local Store ops may run ahead in
+        the tick), a Local Store op: the interpreter hands such a cycle
+        back to the engine.  It also stops at a JMP and after
+        ``_UNIT_ISSUES`` issue cycles.
         """
         entry = pc
         sb = {r: (left, stall) for r, left, stall in pending}
         t = issue = dual = wait = ls_wait = 0
         ops: dict[str, int] = {}  # mnemonic -> count, in first-issue order
+        posted = [0, 0]  # WRITEs, LSE requests
         steps: list = []
         exits: list = []
 
@@ -969,7 +1104,7 @@ class SPU(Component):
                 counts[row[D_NAME]] = counts.get(row[D_NAME], 0) + 1
             exits.append(units.Exit(
                 to, (at, issue + bool(cycle), dual + pair, wait + penalty,
-                     ls_wait),
+                     ls_wait, *posted),
                 tuple(counts.items()),
                 tuple(sorted((r, ready - at, stall)
                              for r, (ready, stall) in sb.items()
@@ -985,6 +1120,8 @@ class SPU(Component):
                 sb[rd] = (t + ls_latency, Bucket.LS_STALL)
             elif kind == K_ALU and row[D_FN] is not None and lat > 1:
                 sb[rd] = (t + lat, Bucket.WORKING)
+            elif kind == K_POST:
+                posted[row[D_NAME] != "WRITE"] += 1
 
         while issue < _UNIT_ISSUES:
             row = rows[pc]
@@ -1024,25 +1161,33 @@ class SPU(Component):
                 t += 1
                 continue
             mem = row if kind >= K_LS else rows[pc + 1]
-            if mem[D_KIND] == K_STRUCT or not ahead:
+            post = mem[D_KIND] == K_POST
+            if not post and (mem[D_KIND] == K_STRUCT or not ahead):
                 steps.append((units.END, leave(pc, t, False)))
                 break
-            # A cycle with a Local Store op: the row, then the next one
-            # if its slot is free and no register it names waits.
+            # A cycle with a Local Store op or a posted op: the row, then
+            # the next one if its slot is free and no register it names
+            # waits.
             decline = leave(pc, t, False)
             issued(row)
             nxt = rows[pc + 1]
-            pair = nxt[D_MEM] != (kind == K_LS) and not any(
+            pair = nxt[D_MEM] != row[D_MEM] and not any(
                 sb.get(r, (0,))[0] > t for r in nxt[D_HAZ]
             )
             for op in (row, nxt) if pair else (row,):
                 if op[D_NAME] in _DIVIDES:
                     steps.append((units.NONZERO, op, decline))
-            steps.append((units.GUARD, t,
-                          row if kind == K_ALU and row[D_FN] else None,
-                          mem, decline))
-            if kind == K_LS:
-                steps.append((units.LS, t, row))
+            alu = row if kind == K_ALU and row[D_FN] else None
+            if post:
+                steps.append((units.CREDIT, mem, decline))
+                if alu is not None:
+                    steps.append((units.ALU, row))
+                elif kind == K_POST:
+                    steps.append((units.POST, t, row))
+            else:
+                steps.append((units.GUARD, t, alu, mem, decline))
+                if kind == K_LS:
+                    steps.append((units.LS, t, row))
             if pair:
                 if nxt[D_KIND] == K_BRANCH:
                     steps.append((units.BRANCH, nxt, leave(
@@ -1051,6 +1196,8 @@ class SPU(Component):
                     )))
                 elif nxt[D_KIND] == K_LS:
                     steps.append((units.LS, t, nxt))
+                elif nxt[D_KIND] == K_POST:
+                    steps.append((units.POST, t, nxt))
                 else:
                     steps.append((units.ALU, nxt))
                 issued(nxt)
@@ -1060,7 +1207,7 @@ class SPU(Component):
             t += 1
         else:
             steps.append((units.END, leave(pc, t, True)))
-        if not any(step[0] in (units.ALU, units.LS, units.BRANCH)
+        if not any(step[0] in (units.ALU, units.LS, units.BRANCH, units.POST)
                    for step in steps):
             return None
         loop = next((k for k, e in enumerate(exits)
@@ -1146,8 +1293,14 @@ class SPU(Component):
 
     def describe_state(self) -> str:
         t = self.thread.describe() if self.thread else "no thread"
+        posted = ""
+        if self._posts:
+            ops = ", ".join(f"{_POST_NAMES[code]}@{cycle}"
+                            for cycle, code, *_ in self._posts)
+            posted = (f" posted=[{ops}] pipeline stopped at "
+                      f"{self._resume_at}")
         return (
             f"state={self._state.value} pc={self.pc} "
-            f"outstanding_writes={self._outstanding_writes} [{t}]"
+            f"outstanding_writes={self._outstanding_writes}{posted} [{t}]"
         )
 

@@ -1,11 +1,13 @@
 """Run-ahead units: the SPU's run-ahead cycles as generated Python.
 
 ``SPU._issue_cycle`` runs ahead of the engine through cycles that issue
-only ALU ops, branches and Local Store ops that no other component can
-see or change first (docs/PERFORMANCE.md, "SPU run-ahead").  A *unit*
-runs a stretch of such cycles as one generated Python function instead
-of interpreting them row by row, as a dynamic binary translator runs
-guest code (Embra, Witchel & Rosenblum, SIGMETRICS 1996).
+only ALU ops, branches, Local Store ops that no other component can see
+or change first and posted ops (WRITE, STORE, FFREE), whose outside part
+the SPU performs later, in its own tick at the op's cycle
+(docs/PERFORMANCE.md, "SPU run-ahead" and "Posted ops").  A *unit* runs
+a stretch of such cycles as one generated Python function instead of
+interpreting them row by row, as a dynamic binary translator runs guest
+code (Embra, Witchel & Rosenblum, SIGMETRICS 1996).
 
 A unit starts at a run-ahead cycle boundary and is keyed by the program's
 rows, whether Local Store ops may run ahead in the tick (``ahead``: the
@@ -26,21 +28,30 @@ is left with what the walk cannot know:
   the unit's own entry state loops inside the function;
 * the checks ``_issue_cycle`` makes in each cycle before a Local Store
   op runs ahead: at most ``ports - 2`` ports booked for the cycle, and
-  an LLOAD/LSTORE address at or above ``frame_region``.  A failing
-  check, a zero divisor and a Local Store address that would fault
-  *decline* the cycle: the unit returns with the cycle not begun, and
-  the interpreter decides it itself.
+  an LLOAD/LSTORE address at or above ``frame_region``;
+* the check before a posted op: a store-queue credit left for a WRITE,
+  an LSE-queue slot left for a STORE or FFREE.  The caller passes both
+  counts in, net of the posts the tick has made so far, and the code
+  counts its own posts down from them.  A posted op appends its post
+  record ``(cycle, code, x, y, z)`` (:data:`POST_CODES`) to the SPU's
+  pending posts.
+
+A failing check, a zero divisor and a Local Store address that would
+fault *decline* the cycle: the unit returns with the cycle not begun,
+and the interpreter decides it itself.
 
 The generated function returns ``(exit index, loops)``.  Each exit is an
 :class:`Exit` record holding everything the schedule fixed: the next pc,
-the cycles used and the issue, dual-issue, wait and Local Store wait
-sums, the opcode counts and the scoreboard at the exit.  ``loops`` counts
-the passes through the loop exit before it, each worth that exit's
-record again.
+the cycles used, the issue, dual-issue, wait and Local Store wait sums
+and the WRITEs and LSE requests posted, the opcode counts and the
+scoreboard at the exit.  ``loops`` counts the passes through the loop
+exit before it, each worth that exit's record again.
 
 The source holds only integers taken from the rows and the machine
 configuration, the templates and fixed scaffolding, so a unit's code
-depends only on its key.  Units are cached by content: on the decoded
+depends only on its key.  Each unit compiles under a file name of its
+own, with its pc and a digest of its key and code, so profilers keep
+units apart.  Units are cached by content: on the decoded
 program (``DecodedProgram.units``) and in a bounded process-wide cache,
 since every run builds its programs afresh.  Nothing that pickles holds
 a unit: ``DecodedProgram`` pickles as its program.
@@ -50,6 +61,7 @@ from __future__ import annotations
 
 import operator
 import threading
+import zlib
 
 from repro.cell.local_store import PORT_HISTORY
 from repro.isa.decoded import (
@@ -65,8 +77,9 @@ from repro.isa.decoded import (
     TEMPLATES,
 )
 
-__all__ = ["Exit", "Unit", "UNRESOLVED", "lookup",
-           "ALU", "NONZERO", "GUARD", "LS", "BRANCH", "END"]
+__all__ = ["Exit", "Unit", "UNRESOLVED", "POST_CODES", "lookup",
+           "ALU", "NONZERO", "GUARD", "LS", "BRANCH", "END", "CREDIT",
+           "POST"]
 
 # -- schedule steps -----------------------------------------------------------
 # SPU._schedule describes a unit as a list of steps, in issue order:
@@ -79,6 +92,15 @@ GUARD = 2    #: (GUARD, cycle, alu, mem, exit): may the cycle with Local
 LS = 3       #: (LS, cycle, row): a Local Store op on the port GUARD booked
 BRANCH = 4   #: (BRANCH, row, exit): a taken branch leaves by ``exit``
 END = 5      #: (END, exit): the schedule ends
+CREDIT = 6   #: (CREDIT, row, exit): may the cycle post ``row``?  A
+             #: WRITE needs a store-queue credit, a STORE or FFREE an
+             #: LSE-queue slot
+POST = 7     #: (POST, cycle, row): a posted op's record onto the posts
+
+#: A posted op's code in its post record ``(cycle, code, x, y, z)``:
+#: WRITE ``(address, value, 0)``, STORE ``(handle, slot, value)``, FFREE
+#: ``(handle, 0, 0)``.
+POST_CODES = {"WRITE": 0, "STORE": 1, "FFREE": 2}
 
 #: ``Exit.next`` before the caller has looked the next unit up.
 UNRESOLVED = object()
@@ -99,10 +121,11 @@ class Exit:
     def __init__(self, pc, sums, ops, sb, chain) -> None:
         #: The pc the SPU goes on from.
         self.pc = pc
-        #: ``(cycles, issue, dual, wait, ls_wait)``: the cycles from the
-        #: unit's entry to the exit, issue and dual-issue cycles, cycles
-        #: charged to the Working bucket besides issue (branch penalties,
-        #: pipeline stalls) and Local Store stall cycles.
+        #: ``(cycles, issue, dual, wait, ls_wait, writes, requests)``: the
+        #: cycles from the unit's entry to the exit, issue and dual-issue
+        #: cycles, cycles charged to the Working bucket besides issue
+        #: (branch penalties, pipeline stalls), Local Store stall cycles,
+        #: and the WRITEs and LSE requests (STORE, FFREE) posted.
         self.sums = sums
         #: ``(mnemonic, count)`` pairs, in first-issue order.
         self.ops = ops
@@ -122,10 +145,11 @@ class Unit:
     __slots__ = ("run", "exits", "loop", "span", "source")
 
     def __init__(self, run, exits, loop, span, source) -> None:
-        #: ``run(regs, words, ls, now, limit, fa) -> (exit, loops)`` with
-        #: the register file, the Local Store's words, the Local Store,
-        #: the entry cycle, the cycle no pass may reach and the thread's
-        #: frame address.
+        #: ``run(regs, words, ls, now, limit, fa, posts, wc, lq) -> (exit,
+        #: loops)`` with the register file, the Local Store's words, the
+        #: Local Store, the entry cycle, the cycle no pass may reach, the
+        #: thread's frame address, the SPU's pending posts and the
+        #: store-queue credits and LSE-queue slots left.
         self.run = run
         self.exits = exits
         #: The exit that loops back to the entry, or None.
@@ -148,7 +172,7 @@ def lookup(rows: tuple, key: tuple, schedule) -> "Unit | None":
             pass
         config, ahead, pc, pending = key
         plan = schedule(rows, pc, pending, config[3], config[4], ahead)
-        unit = None if plan is None else _build(*plan, config)
+        unit = None if plan is None else _build(*plan, key)
         if len(_CACHE) >= CACHE_SIZE:
             del _CACHE[next(iter(_CACHE))]
         _CACHE[rows, key] = unit
@@ -175,13 +199,14 @@ def _value(row) -> str:
 
 
 def _build(steps: list, exits: list, loop: "int | None",
-           config: tuple) -> Unit:
-    """Generate, compile and wrap the function of one schedule."""
-    ports, frame_region, size = config[0], config[1], config[2]
+           key: tuple) -> Unit:
+    """Generate, compile and wrap the function of one schedule, the
+    unit of ``key``."""
+    ports, frame_region, size = key[0][:3]
     span = max(e.sums[0] for e in exits)
     n = "0" if loop is None else "n"
     pad = "    " if loop is None else "        "
-    lines = ["def unit(regs, words, ls, now, limit, fa):",
+    lines = ["def unit(regs, words, ls, now, limit, fa, posts, wc, lq):",
              "    pu = ls._ports_used"]
     if loop is not None:
         lines += ["    n = 0", "    while True:"]
@@ -232,6 +257,25 @@ def _build(steps: list, exits: list, loop: "int | None",
                 emit(f"words[a >> 2] = {_operand(row, D_BREG, D_BVAL)}")
             else:  # STOREF
                 emit(f"words[a >> 2] = {_operand(row, D_AREG, D_AVAL)}")
+        elif kind == CREDIT:
+            _, row, k = step
+            left = "wc" if row[D_NAME] == "WRITE" else "lq"
+            emit(f"if {left} < 1: return {k}, {n}")
+        elif kind == POST:
+            _, cycle, row = step
+            at = f"now + {cycle}" if cycle else "now"
+            name = row[D_NAME]
+            a = _operand(row, D_AREG, D_AVAL)
+            if name == "WRITE":
+                emit("wc -= 1")
+                xyz = (f"{a} + {_int(row[D_IMM])}",
+                       _operand(row, D_BREG, D_BVAL), "0")
+            else:
+                emit("lq -= 1")
+                xyz = ((a, _int(row[D_IMM]), _operand(row, D_BREG, D_BVAL))
+                       if name == "STORE" else (a, "0", "0"))
+            emit(f"posts.append(({at}, {POST_CODES[name]}, "
+                 f"{', '.join(xyz)}))")
         elif kind == BRANCH:
             _, row, k = step
             emit(f"if {_value(row)}:")
@@ -246,6 +290,8 @@ def _build(steps: list, exits: list, loop: "int | None",
         else:  # END
             emit(f"return {step[1]}, {n}")
     source = "\n".join(lines) + "\n"
-    exec(compile(source, "<run-ahead unit>", "exec"), _GLOBALS)
+    digest = zlib.crc32(f"{key}\n{source}".encode())
+    name = f"<run-ahead unit pc {key[2]} {digest:08x}>"
+    exec(compile(source, name, "exec"), _GLOBALS)
     return Unit(_GLOBALS.pop("unit"), tuple(exits),
                 None if loop is None else exits[loop], span, source)

@@ -11,8 +11,10 @@ data.
 tuples — one row per flat instruction — holding:
 
 * a small-int dispatch ``kind``: ALU, branch, Local Store (LOAD, STOREF,
-  LLOAD, LSTORE) or structural (memory, scheduler and DMA ops, which the
-  SPU issues only in the engine's cycle),
+  LLOAD, LSTORE), posted (WRITE, STORE, FFREE, which the SPU may issue
+  ahead of the engine and perform at their cycle) or structural (READ,
+  the other scheduler ops and the DMA ops, which the SPU issues only in
+  the engine's cycle),
 * pre-resolved operands (register index *or* immediate value, with the
   ALU ``imm``-as-``rb`` fallback already folded in), the raw instruction
   immediate ``imm`` (a Local Store row's frame slot or address offset, a
@@ -63,7 +65,7 @@ __all__ = [
     "D_LAT", "D_HAZ", "D_FN", "D_NAME", "D_MEM", "D_SOLO", "D_IMM",
     "D_TAG", "D_STRIDE",
     # dispatch kinds
-    "K_ALU", "K_BRANCH", "K_LS", "K_STRUCT",
+    "K_ALU", "K_BRANCH", "K_LS", "K_STRUCT", "K_POST",
 ]
 
 
@@ -92,10 +94,14 @@ D_STRIDE = 15  #: DMAGETS gather stride in bytes, or None
 K_ALU = 0
 K_BRANCH = 1
 K_LS = 2      #: LOAD, STOREF, LLOAD, LSTORE (issued inline by the SPU)
-K_STRUCT = 3  #: memory, scheduler and DMA ops (only in the engine's cycle)
+K_STRUCT = 3  #: READ, FALLOC, LSALLOC, STOP, DMA ops (only in the engine's cycle)
+K_POST = 4    #: WRITE, STORE, FFREE (posted: may issue ahead of the engine)
 
 #: Ops that decode to K_LS rows.
 _LS_OPS = frozenset({Op.LOAD, Op.STOREF, Op.LLOAD, Op.LSTORE})
+
+#: Ops that decode to K_POST rows.
+_POST_OPS = frozenset({Op.WRITE, Op.STORE, Op.FFREE})
 
 
 # -- value functions ----------------------------------------------------------
@@ -189,7 +195,7 @@ _BRANCH_FN = {op: _closure(t) for op, t in _BRANCH_TEMPLATES.items()}
 class DecodedProgram:
     """The decoded execution table of one :class:`ThreadProgram`."""
 
-    __slots__ = ("rows", "program", "units")
+    __slots__ = ("rows", "program", "units", "starts")
 
     def __init__(self, rows: tuple[tuple, ...],
                  program: "ThreadProgram") -> None:
@@ -197,6 +203,16 @@ class DecodedProgram:
         self.program = program
         #: The SPU's run-ahead units over these rows (repro.cell.units).
         self.units: dict = {}
+        #: Per row: False where no run-ahead unit can start, whatever the
+        #: scoreboard holds: the row, or the MEM-slot op an ALU row pairs
+        #: with, issues only in the engine's cycle (K_STRUCT).
+        self.starts = tuple(
+            row[D_KIND] != K_STRUCT and not (
+                row[D_KIND] == K_ALU and nxt is not None
+                and nxt[D_KIND] == K_STRUCT
+            )
+            for row, nxt in zip(rows, rows[1:] + (None,))
+        )
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -224,8 +240,10 @@ def _op_facts(op: Op) -> tuple:
         kind, fn = K_BRANCH, _BRANCH_FN[op]
     elif op in _ALU_FN or op is Op.NOP:
         kind, fn = K_ALU, _ALU_FN.get(op)  # None for NOP
+    elif op in _LS_OPS:
+        kind, fn = K_LS, None
     else:
-        kind, fn = (K_LS if op in _LS_OPS else K_STRUCT), None
+        kind, fn = (K_POST if op in _POST_OPS else K_STRUCT), None
     return kind, fn, op.value, spec.result_latency or 1, spec.slot is Slot.MEM
 
 
