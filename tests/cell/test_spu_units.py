@@ -7,7 +7,8 @@ their results to the interpreter's.  This suite checks the rest of the
 contract: the generated source holds only integers from the rows and
 the configuration besides the opcode templates, units run under a hub,
 a unit is built once per content and shared by later runs, each unit
-has a code label of its own, and no pickled machine reaches one.
+has a code label of its own, a loop that posts a WRITE runs as one
+unit, and no pickled machine reaches one.
 """
 
 from __future__ import annotations
@@ -121,6 +122,16 @@ def test_units_of_one_program_get_distinct_code_labels():
     assert len(labels) > 1
     assert len(set(labels)) == len(labels)
     assert all(label.startswith("<run-ahead unit pc ") for label in labels)
+
+
+def test_zoom_pixel_loop_runs_as_one_looping_unit(built):
+    # The pixel loop's WRITE is posted from inside the generated loop:
+    # each pass issues one WRITE and posts it.
+    activity = prefetch_transform(builders("test")["zoom"]().activity)
+    run(activity, paper_config(2))
+    writes = [(dict(unit.loop.ops).get("WRITE"), unit.loop.sums[5])
+              for unit in built["units"] if unit.loop is not None]
+    assert (1, 1) in writes
 
 
 def test_no_pickled_machine_reaches_a_unit():
